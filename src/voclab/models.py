@@ -58,6 +58,8 @@ class ParameterSet:
         old = self._params[name]
         if old.shape != array.shape:
             raise ShapeError(f"{name}: shape {array.shape} != {old.shape}")
+        if old.dtype != array.dtype:
+            raise TypeError(f"{name}: dtype {array.dtype} != {old.dtype}")
         self._params[name] = Tensor(array, requires_grad=old.requires_grad)
 
     def state(self):

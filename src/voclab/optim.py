@@ -2,10 +2,17 @@
 
 Optimizers operate on name-keyed gradient arrays and mutate a ParameterSet
 through set_data, keeping parameter tensors themselves immutable.
+
+Updates keep the parameters' dtype: every scalar coefficient (learning rate,
+bias corrections, the rectification factor) is a Python float, which NumPy
+treats as a weak scalar, so float32 parameters and moments stay float32.
+A NumPy scalar such as ``np.sqrt(2.0)`` is a strong float64 and would promote
+them; set_data refuses the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +73,7 @@ def radam_step(params, grads, state: OptimState, lr, betas=(0.9, 0.999), eps=1e-
     b2t = b2**t
     rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
     if rho_t > 4.0:
-        r_t = np.sqrt(
+        r_t = math.sqrt(
             ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
             / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
         )

@@ -9,6 +9,7 @@ multi-resolution STFT loss alone. Everything is deterministic given
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -80,6 +81,12 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.segment_length % 256:
             raise ValueError("segment_length must be divisible by 256")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.log_interval < 1:
+            raise ValueError("log_interval must be at least 1")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, not {self.dtype!r}")
 
 
 def desk_config(vocoder="melgan", **overrides):
@@ -336,7 +343,11 @@ def train(config: TrainConfig, corpus, out_dir, resume_from=None):
 
 
 def save_checkpoint(path, trainer: Trainer):
-    """Single-file checkpoint: versioned, name-keyed arrays with shapes."""
+    """Single-file checkpoint: versioned, name-keyed arrays with shapes.
+
+    Written to a temporary file in the same directory and renamed into
+    place, so `path` never holds a partial checkpoint.
+    """
     blobs = {
         "__version__": np.array(CHECKPOINT_VERSION),
         "__iteration__": np.array(trainer.iteration),
@@ -354,12 +365,25 @@ def save_checkpoint(path, trainer: Trainer):
             blobs[f"{prefix}.m.{name}"] = arr
         for name, arr in state.v.items():
             blobs[f"{prefix}.v.{name}"] = arr
-    np.savez(path, **blobs)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        # a file handle, because np.savez appends ".npz" to a bare path
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **blobs)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def load_checkpoint(path, trainer: Trainer):
-    """Restore parameters, optimizer moments, iteration, and the RNG stream."""
+    """Restore parameters, optimizer moments, iteration, and the RNG stream.
+
+    Parameters and moments are cast to the trainer's dtype, so a checkpoint
+    written in another dtype resumes without promoting the update.
+    """
     try:
         blobs = dict(np.load(path, allow_pickle=False))
     except (OSError, ValueError) as exc:
@@ -388,9 +412,9 @@ def load_checkpoint(path, trainer: Trainer):
     for prefix, state in (("optg", trainer.g_state), ("optd", trainer.d_state)):
         for key, arr in blobs.items():
             if key.startswith(f"{prefix}.m."):
-                state.m[key[len(prefix) + 3 :]] = arr
+                state.m[key[len(prefix) + 3 :]] = arr.astype(trainer.dtype, copy=False)
             elif key.startswith(f"{prefix}.v."):
-                state.v[key[len(prefix) + 3 :]] = arr
+                state.v[key[len(prefix) + 3 :]] = arr.astype(trainer.dtype, copy=False)
     return trainer
 
 

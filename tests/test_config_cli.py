@@ -111,6 +111,21 @@ class TestCliWorkflow:
         assert res.exit_code == 1
         assert "wat" in res.output
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("[trainer]\ndtype = float16\n", "dtype"),
+            ("[trainer]\nlog_interval = 0\n", "log_interval"),
+            ("[data]\nbatch_size = 0\n", "batch_size"),
+        ],
+    )
+    def test_train_rejects_bad_value(self, runner, tmp_path, text, key):
+        p = tmp_path / "run.ini"
+        p.write_text(text)
+        res = runner.invoke(main, ["train", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert key in res.output
+
     def test_train_requires_corpus_dir(self, runner, tmp_path):
         p = tmp_path / "run.ini"
         p.write_text("[trainer]\ntotal_iterations = 1\nd_start_iteration = 1\n")

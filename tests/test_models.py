@@ -29,6 +29,13 @@ class TestParameterSet:
         with pytest.raises(ShapeError):
             ps.set_data("w", np.zeros((3, 2)))
 
+    def test_set_data_dtype_change_rejected(self):
+        ps = ParameterSet()
+        ps.add("w", np.zeros(3, dtype=np.float32))
+        with pytest.raises(TypeError, match="float64"):
+            ps.set_data("w", np.zeros(3, dtype=np.float64))
+        assert ps["w"].dtype == np.float32
+
     def test_load_requires_exact_name_set(self):
         ps = ParameterSet()
         ps.add("a", np.zeros(2))

@@ -106,6 +106,23 @@ class TestRadam:
             assert np.allclose(ps["w"].data, ref, atol=1e-14)
 
 
+class TestFloat32:
+    @pytest.mark.parametrize("step,kind", [(adam_step, "adam"), (radam_step, "radam")])
+    def test_updates_keep_float32(self, step, kind):
+        # 8 steps: RAdam's rectification starts at t=5, so both of its
+        # update forms run
+        rng = np.random.default_rng(3)
+        ps = ParameterSet()
+        ps.add("w", rng.normal(size=(3, 4)).astype(np.float32))
+        state = OptimState(kind)
+        for _ in range(8):
+            g = rng.normal(size=(3, 4)).astype(np.float32)
+            step(ps, {"w": g}, state, lr=1e-3)
+        assert ps["w"].dtype == np.float32
+        assert state.m["w"].dtype == np.float32
+        assert state.v["w"].dtype == np.float32
+
+
 class TestDispatchAndState:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

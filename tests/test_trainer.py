@@ -61,6 +61,12 @@ class TestConfig:
             TrainConfig(g_optimizer=OptimizerConfig(lr=0.0))
         with pytest.raises(ValueError):
             TrainConfig(adv_mode="hinge")
+        with pytest.raises(ValueError, match="dtype"):
+            TrainConfig(dtype="float16")
+        with pytest.raises(ValueError, match="log_interval"):
+            TrainConfig(log_interval=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=0)
 
     def test_lr_halving_schedule(self):
         assert _lr_at(1.0, (), 500) == 1.0
@@ -171,7 +177,93 @@ class TestTrainDriver:
                     assert abs(rec[key] - ref[key]) <= 1e-12
 
 
+def pwgan_float32_config(**overrides):
+    base = dict(
+        total_iterations=9,
+        d_start_iteration=4,
+        batch_size=1,
+        segment_length=2048,
+        dtype="float32",
+        log_interval=1,
+        checkpoint_interval=6,
+    )
+    base.update(overrides)
+    return desk_config("pwgan", **base)
+
+
+def _without_wall_time(records):
+    return [{k: v for k, v in r.items() if k != "wall_time"} for r in records]
+
+
+class TestFloat32Training:
+    def test_resume_is_bit_exact(self, corpus, tmp_path):
+        # the checkpoint at 6 comes after G's RAdam rectification (step 5)
+        # and before D's (D steps from iteration 5), so the resumed run
+        # crosses it
+        cfg = pwgan_float32_config()
+        full = train(cfg, corpus, tmp_path / "full")
+        assert full.checkpoint_paths[0].name == "checkpoint_00000006.npz"
+        resumed = train(cfg, corpus, tmp_path / "resumed", resume_from=full.checkpoint_paths[0])
+        assert _without_wall_time(resumed.records) == _without_wall_time(full.records[6:])
+        final_full = np.load(full.checkpoint_paths[-1])
+        final_resumed = np.load(resumed.checkpoint_paths[-1])
+        assert sorted(final_full.files) == sorted(final_resumed.files)
+        for key in final_full.files:
+            assert np.array_equal(final_full[key], final_resumed[key]), key
+
+    def test_float64_moments_cast_on_load(self, corpus, tmp_path):
+        cfg = pwgan_float32_config(d_start_iteration=2)
+        tr = Trainer(cfg, corpus, tmp_path / "src")
+        for _ in range(3):
+            tr.step()
+        path = save_checkpoint(tmp_path / "ck.npz", tr)
+        blobs = dict(np.load(path, allow_pickle=False))
+        moments = [k for k in blobs if k.startswith(("optg.", "optd."))]
+        assert any(k.startswith("optd.") for k in moments)
+        for key in moments:
+            blobs[key] = blobs[key].astype(np.float64)
+        np.savez(tmp_path / "f64.npz", **blobs)
+
+        other = Trainer(cfg, corpus, tmp_path / "dst")
+        load_checkpoint(tmp_path / "f64.npz", other)
+        for _ in range(5):  # G to optimizer step 8, D to step 6
+            other.step()
+        assert other.d_state.step == 6
+        for params in (other.g_params, other.d_params):
+            assert {t.dtype for _, t in params.items()} == {np.dtype(np.float32)}
+        for state in (other.g_state, other.d_state):
+            for arr in (*state.m.values(), *state.v.values()):
+                assert arr.dtype == np.float32
+
+
 class TestCheckpointFiles:
+    def test_save_is_atomic(self, corpus, tmp_path, monkeypatch):
+        tr = Trainer(tiny_config(), corpus, tmp_path / "a")
+        tr.step()
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        path = save_checkpoint(ck_dir / "ck.npz", tr)
+        assert path == ck_dir / "ck.npz"
+        assert sorted(p.name for p in ck_dir.iterdir()) == ["ck.npz"]
+        other = Trainer(tiny_config(), corpus, tmp_path / "b")
+        load_checkpoint(path, other)
+        for name, arr in tr.g_params.state().items():
+            assert np.array_equal(other.g_params[name].data, arr)
+
+        # a save that fails part-way leaves the previous file whole
+        before = path.read_bytes()
+        tr.step()
+
+        def fail(fh, **blobs):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, tr)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in ck_dir.iterdir()) == ["ck.npz"]
+
     def test_round_trip_restores_everything(self, corpus, tmp_path):
         tr = Trainer(tiny_config(), corpus, tmp_path / "src")
         for _ in range(3):
