@@ -253,7 +253,8 @@ def pwgan_generate(noise, mel, spec: PwganGeneratorSpec, params):
         raise ShapeError(
             f"pwgan_generate: noise length {T} must equal mel frames {F} * hop {spec.hop}"
         )
-    cond = _conv(tt.repeat_interleave(mel, spec.hop), params, "cond")
+    # a 1x1 conv commutes with the repeat, so it runs at the frame rate
+    cond = tt.repeat_interleave(_conv(mel, params, "cond"), spec.hop)
     h = _conv(noise, params, "in")
     skip = None
     half = spec.kernel // 2

@@ -3,15 +3,37 @@
 Values are numpy arrays (float32 for training, float64 for verification).
 A Tape records op closures in creation order; backward() replays them in
 exact reverse order, accumulating gradients additively.
+
+Every convolution is one matmul over the tap columns that _im2col gathers
+(a view for 1x1 convs); _col2im, its adjoint, scatters them back, and
+conv_transpose1d is conv1d's adjoint. Importing the module sets glibc's
+allocator policy for the process (_keep_freed_memory_mapped).
 """
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _TINY = 1e-300  # guards 0.5/sqrt at exact zeros
+
+
+def _keep_freed_memory_mapped():
+    """On glibc, serve arrays under 32 MiB (its maximum) from the heap and
+    trim the heap only above 1 GiB, so the memory one training step frees is
+    reused by the next instead of being unmapped and faulted in again.
+    Setting either value stops glibc adjusting both, so both are set."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_memory_mapped()
 
 
 class ShapeError(ValueError):
@@ -569,80 +591,67 @@ def matmul(a, b):
     return _make(data, tape, fn)
 
 
-def _conv_cols(xp, k, dilation, stride, L_out):
-    B, C = xp.shape[0], xp.shape[1]
+def _zero_pad(a, padding):
+    """a [B, C, L] with `padding` zeros on both ends of the last axis."""
+    if not padding:
+        return a
+    out = np.zeros(a.shape[:2] + (a.shape[-1] + 2 * padding,), dtype=a.dtype)
+    out[:, :, padding:-padding] = a
+    return out
+
+
+def _im2col(xp, k, dilation, stride, L_out):
+    """Tap columns of xp [B, C, Lp]: [B, C*k, L_out], row c*k + i holding
+    tap i of channel c. A 1-tap, stride-1 call returns a view of xp."""
+    if k == 1 and stride == 1:
+        return xp[:, :, :L_out]
+    B, C = xp.shape[:2]
     cols = np.empty((B, C, k, L_out), dtype=xp.dtype)
+    last = (L_out - 1) * stride + 1
     for i in range(k):
-        start = i * dilation
-        cols[:, :, i, :] = xp[:, :, start : start + (L_out - 1) * stride + 1 : stride]
-    return cols
+        cols[:, :, i] = xp[:, :, i * dilation : i * dilation + last : stride]
+    return cols.reshape(B, C * k, L_out)
 
 
-def conv1d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
-    """1-D convolution (cross-correlation), x [B, C_in, L], w [C_out, C_in/groups, k]."""
+def _col2im(cols, k, dilation, stride, length):
+    """Adjoint of _im2col: scatter-add [B, C*k, L_out] into [B, C, length]."""
+    B, Ck, L_out = cols.shape
+    if k == 1 and stride == 1 and L_out == length:
+        return cols
+    out = np.zeros((B, Ck // k, length), dtype=cols.dtype)
+    cols = cols.reshape(B, Ck // k, k, L_out)
+    last = (L_out - 1) * stride + 1
+    for i in range(k):
+        out[:, :, i * dilation : i * dilation + last : stride] += cols[:, :, i]
+    return out
+
+
+def _weight_grad(g, cols):
+    """sum_b g[b] @ cols[b].T without copying either operand."""
+    return np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def conv1d(x, w, b=None, stride=1, padding=0, dilation=1):
+    """1-D convolution (cross-correlation), x [B, C_in, L], w [C_out, C_in, k].
+
+    One matmul over the im2col columns; the backward pass rebuilds the
+    columns rather than keeping them on the tape.
+    """
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d: expected 3-D x and w, got {x.shape}, {w.shape}")
     B, C_in, L = x.shape
-    C_out, C_in_g, k = w.shape
-    if C_in != C_in_g * groups or C_out % groups:
-        raise ShapeError(
-            f"conv1d: channel mismatch, x {x.shape}, w {w.shape}, groups {groups}"
-        )
+    C_out, C_in_w, k = w.shape
+    if C_in != C_in_w:
+        raise ShapeError(f"conv1d: channel mismatch, x {x.shape}, w {w.shape}")
     span = (k - 1) * dilation + 1
     L_out = (L + 2 * padding - span) // stride + 1
     if L_out < 1:
         raise ShapeError(f"conv1d: input length {L} too short for kernel span {span}")
     if b is not None and b.shape != (C_out,):
         raise ShapeError(f"conv1d: bias shape {b.shape}, expected ({C_out},)")
-    if padding:
-        xp = np.zeros((B, C_in, L + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding : padding + L] = x.data
-    else:
-        xp = x.data
-    last = (L_out - 1) * stride + 1
-
-    if groups == 1 and k <= 3 and stride == 1:
-        # per-tap batched matmul; avoids materializing the im2col array.
-        # Only a win for small stride-1 kernels: larger k multiplies the
-        # Python/BLAS call count and strided slices defeat the fast gemm path.
-        wt = np.ascontiguousarray(w.data.transpose(2, 0, 1))  # [k, C_out, C_in]
-        out = None
-        for i in range(k):
-            xs = xp[:, :, i * dilation : i * dilation + last : stride]
-            term = np.matmul(wt[i], xs)
-            out = term if out is None else np.add(out, term, out=out)
-        if b is not None:
-            out += b.data[None, :, None]
-        tape = _result_tape(x, w) if b is None else _result_tape(x, w, b)
-
-        def fn(g):
-            outs = []
-            if _needs_grad(w):
-                gw = np.empty_like(w.data)
-                for i in range(k):
-                    xs = xp[:, :, i * dilation : i * dilation + last : stride]
-                    gw[:, :, i] = np.tensordot(g, xs, axes=([0, 2], [0, 2]))
-                outs.append((w, gw))
-            if _needs_grad(x):
-                gxp = np.zeros_like(xp)
-                for i in range(k):
-                    gxp[:, :, i * dilation : i * dilation + last : stride] += np.matmul(
-                        wt[i].T, g
-                    )
-                outs.append((x, gxp[:, :, padding : padding + L] if padding else gxp))
-            if b is not None and _needs_grad(b):
-                outs.append((b, g.sum(axis=(0, 2))))
-            return outs
-
-        return _make(out, tape, fn)
-
-    cols = _conv_cols(xp, k, dilation, stride, L_out)  # [B, C_in, k, L_out]
-    cpg, opg = C_in // groups, C_out // groups
-    out = np.empty((B, C_out, L_out), dtype=x.dtype)
-    for gi in range(groups):
-        wg = w.data[gi * opg : (gi + 1) * opg].reshape(opg, cpg * k)
-        cg = cols[:, gi * cpg : (gi + 1) * cpg].reshape(B, cpg * k, L_out)
-        out[:, gi * opg : (gi + 1) * opg] = np.matmul(wg, cg)
+    xp = _zero_pad(x.data, padding)
+    wf = w.data.reshape(C_out, C_in * k)
+    out = np.matmul(wf, _im2col(xp, k, dilation, stride, L_out))
     if b is not None:
         out += b.data[None, :, None]
     tape = _result_tape(x, w) if b is None else _result_tape(x, w, b)
@@ -650,28 +659,11 @@ def conv1d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
     def fn(g):
         outs = []
         if _needs_grad(w):
-            gw = np.empty_like(w.data)
-            for gi in range(groups):
-                cg = cols[:, gi * cpg : (gi + 1) * cpg].reshape(B, cpg * k, L_out)
-                gg = g[:, gi * opg : (gi + 1) * opg]  # [B, opg, L_out]
-                gw[gi * opg : (gi + 1) * opg] = np.tensordot(
-                    gg, cg, axes=([0, 2], [0, 2])
-                ).reshape(opg, cpg, k)
-            outs.append((w, gw))
+            cols = _im2col(xp, k, dilation, stride, L_out)
+            outs.append((w, _weight_grad(g, cols).reshape(w.shape)))
         if _needs_grad(x):
-            gcols = np.empty_like(cols)
-            for gi in range(groups):
-                wg = w.data[gi * opg : (gi + 1) * opg].reshape(opg, cpg * k)
-                gg = g[:, gi * opg : (gi + 1) * opg]
-                gcols[:, gi * cpg : (gi + 1) * cpg] = np.matmul(wg.T, gg).reshape(
-                    B, cpg, k, L_out
-                )
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                start = i * dilation
-                gxp[:, :, start : start + (L_out - 1) * stride + 1 : stride] += gcols[:, :, i, :]
-            gx = gxp[:, :, padding : padding + L] if padding else gxp
-            outs.append((x, gx))
+            gxp = _col2im(np.matmul(wf.T, g), k, dilation, stride, xp.shape[-1])
+            outs.append((x, gxp[:, :, padding : padding + L] if padding else gxp))
         if b is not None and _needs_grad(b):
             outs.append((b, g.sum(axis=(0, 2))))
         return outs
@@ -682,9 +674,9 @@ def conv1d(x, w, b=None, stride=1, padding=0, dilation=1, groups=1):
 def conv_transpose1d(x, w, b=None, stride=1, padding=0):
     """Transposed 1-D convolution; w stored in conv layout [C_out, C_in, k].
 
-    Output length is (L-1)*stride + k - 2*padding; equivalent to a stride-1
-    convolution of the zero-stuffed input, but computed directly (one matmul
-    plus per-tap scatter) so no work is spent on the stuffed zeros.
+    Output length is (L-1)*stride + k - 2*padding. It is the adjoint of a
+    strided conv1d with flipped taps, so no work is spent on stuffed zeros:
+    forward is a matmul and _col2im, backward is _im2col and matmuls.
     """
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv_transpose1d: expected 3-D x and w, got {x.shape}, {w.shape}")
@@ -700,36 +692,22 @@ def conv_transpose1d(x, w, b=None, stride=1, padding=0):
     if L_out < 1:
         raise ShapeError(f"conv_transpose1d: empty output for input length {L}")
     full_len = (L - 1) * stride + k
-    # y[b, o, i, l] = sum_c w[o, c, i] * x[b, c, l]
-    wf = np.ascontiguousarray(w.data.transpose(0, 2, 1)).reshape(C_out * k, C_in)
-    y = np.matmul(wf, x.data).reshape(B, C_out, k, L)
-    full = np.zeros((B, C_out, full_len), dtype=x.dtype)
-    span = (L - 1) * stride + 1
-    for off in range(k):
-        # output position stride*l + off takes kernel tap k-1-off
-        full[:, :, off : off + span : stride] += y[:, :, k - 1 - off, :]
-    out = full[:, :, padding : padding + L_out] if padding else full
-    out = np.ascontiguousarray(out)
+    # row o*k + i of wf holds tap k-1-i: output stride*l + i takes that tap
+    wf = np.ascontiguousarray(w.data[:, :, ::-1].transpose(0, 2, 1)).reshape(C_out * k, C_in)
+    full = _col2im(np.matmul(wf, x.data), k, 1, stride, full_len)
+    out = np.ascontiguousarray(full[:, :, padding : padding + L_out]) if padding else full
     if b is not None:
         out += b.data[None, :, None]
     tape = _result_tape(x, w) if b is None else _result_tape(x, w, b)
 
     def fn(g):
-        if padding:
-            gfull = np.zeros((B, C_out, full_len), dtype=g.dtype)
-            gfull[:, :, padding : padding + L_out] = g
-        else:
-            gfull = g
-        gy = np.empty((B, C_out, k, L), dtype=g.dtype)
-        for off in range(k):
-            gy[:, :, k - 1 - off, :] = gfull[:, :, off : off + span : stride]
-        gyf = gy.reshape(B, C_out * k, L)
+        gcols = _im2col(_zero_pad(g, padding), k, 1, stride, L)  # [B, C_out*k, L]
         outs = []
         if _needs_grad(w):
-            gwf = np.tensordot(gyf, x.data, axes=([0, 2], [0, 2]))  # [C_out*k, C_in]
-            outs.append((w, np.ascontiguousarray(gwf.reshape(C_out, k, C_in).transpose(0, 2, 1))))
+            gwf = _weight_grad(gcols, x.data).reshape(C_out, k, C_in)
+            outs.append((w, np.ascontiguousarray(gwf.transpose(0, 2, 1)[:, :, ::-1])))
         if _needs_grad(x):
-            outs.append((x, np.matmul(wf.T, gyf)))
+            outs.append((x, np.matmul(wf.T, gcols)))
         if b is not None and _needs_grad(b):
             outs.append((b, g.sum(axis=(0, 2))))
         return outs

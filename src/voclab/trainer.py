@@ -87,6 +87,15 @@ class TrainConfig:
             raise ValueError("log_interval must be at least 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, not {self.dtype!r}")
+        shortest = max(
+            max(c.win_length for c in self.stft.configs),
+            build_specs(self)[1].receptive_field(),
+        )
+        if self.segment_length < shortest:
+            raise ValueError(
+                f"segment_length must be at least {shortest}, the longest STFT window "
+                "or the discriminator's receptive field"
+            )
 
 
 def desk_config(vocoder="melgan", **overrides):
@@ -194,9 +203,17 @@ class Trainer:
             name: grad_map[t].data for name, t in params.items() if t in grad_map
         }
 
-    def _apply(self, params, grads, opt_cfg, state, iteration, halvings):
+    def _apply(self, net, grads, batch):
+        """Clip and apply the gradients of net "g" or "d"; returns their norm,
+        checked first so a divergence snapshot holds the last finite weights."""
+        cfg = self.config
+        params, opt_cfg, state, halvings = {
+            "g": (self.g_params, cfg.g_optimizer, self.g_state, cfg.g_lr_halvings),
+            "d": (self.d_params, cfg.d_optimizer, self.d_state, cfg.d_lr_halvings),
+        }[net]
         grads, norm = clip_global_norm(grads, opt_cfg.grad_clip)
-        lr = _lr_at(opt_cfg.lr, halvings, iteration)
+        self._check_finite(norm, f"{net.upper()} gradient norm", batch)
+        lr = _lr_at(opt_cfg.lr, halvings, self.iteration)
         optimizer_step(opt_cfg.kind, params, grads, state, lr, opt_cfg.betas)
         return norm
 
@@ -248,9 +265,7 @@ class Trainer:
             grads = self._grads_by_name(tt.backward(stft_loss, tape_g), self.g_params)
             self.g_params.detach()
             record["g_loss"] = record["stft_loss"]
-            record["g_grad_norm"] = self._apply(
-                self.g_params, grads, cfg.g_optimizer, self.g_state, it, cfg.g_lr_halvings
-            )
+            record["g_grad_norm"] = self._apply("g", grads, batch)
         else:
             use_prls = cfg.adv_mode == "prls" and it > max(
                 cfg.prls.enabled_after, cfg.d_start_iteration
@@ -273,9 +288,7 @@ class Trainer:
             self._check_finite(record["d_loss"], "discriminator loss", batch)
             d_grads = self._grads_by_name(tt.backward(d_loss, tape_d), self.d_params)
             self.d_params.detach()
-            record["d_grad_norm"] = self._apply(
-                self.d_params, d_grads, cfg.d_optimizer, self.d_state, it, cfg.d_lr_halvings
-            )
+            record["d_grad_norm"] = self._apply("d", d_grads, batch)
 
             # generator step against the updated discriminator; D weights are
             # frozen here so backward skips their (unused) gradients
@@ -294,9 +307,7 @@ class Trainer:
             g_grads = self._grads_by_name(tt.backward(g_loss, tape_g), self.g_params)
             self.g_params.detach()
             self.d_params.set_requires_grad(True)
-            record["g_grad_norm"] = self._apply(
-                self.g_params, g_grads, cfg.g_optimizer, self.g_state, it, cfg.g_lr_halvings
-            )
+            record["g_grad_norm"] = self._apply("g", g_grads, batch)
             maps = real_const if multiscale else [real_const]
             record["mean_real_score"] = float(
                 np.mean([m.data.mean() for m in maps])
@@ -309,11 +320,15 @@ def train(config: TrainConfig, corpus, out_dir, resume_from=None):
     trainer = Trainer(config, corpus, out_dir)
     out_dir = trainer.out_dir
     log_path = out_dir / "train_log.jsonl"
+    kept = []
     if resume_from is not None:
         load_checkpoint(resume_from, trainer)
-        log_file = open(log_path, "a")
-    else:
-        log_file = open(log_path, "w")
+        if log_path.exists():
+            # drop records past the checkpoint; the resumed run writes them again
+            lines = log_path.read_text().splitlines(keepends=True)
+            kept = [l for l in lines if json.loads(l)["iteration"] <= trainer.iteration]
+    log_file = open(log_path, "w")
+    log_file.writelines(kept)
     result = TrainResult(log_path=log_path)
     start = time.monotonic()
     try:

@@ -117,6 +117,7 @@ class TestCliWorkflow:
             ("[trainer]\ndtype = float16\n", "dtype"),
             ("[trainer]\nlog_interval = 0\n", "log_interval"),
             ("[data]\nbatch_size = 0\n", "batch_size"),
+            ("[data]\nsegment_length = 1024\n", "segment_length"),
         ],
     )
     def test_train_rejects_bad_value(self, runner, tmp_path, text, key):

@@ -1,5 +1,7 @@
 """Autodiff core: op semantics, tape discipline, and gradient checks."""
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,7 +174,8 @@ class TestGradientsOfPrimitives:
 
     def test_conv1d_matches_brute_force(self):
         rng = np.random.default_rng(0)
-        for stride, padding, dilation, k in [(1, 1, 1, 3), (2, 2, 1, 5), (1, 2, 2, 3), (1, 7, 1, 15)]:
+        cases = [(1, 1, 1, 3), (2, 2, 1, 5), (1, 2, 2, 3), (1, 7, 1, 15), (1, 0, 1, 1)]
+        for stride, padding, dilation, k in cases:
             x = rng.normal(size=(2, 3, 20))
             w = rng.normal(size=(4, 3, k))
             b = rng.normal(size=4)
@@ -217,6 +220,37 @@ class TestGradientsOfPrimitives:
             w, eps=1e-5, tol=1e-6,
         )
         assert r.passed
+
+    def test_conv1d_strided_input_and_bias_gradients(self):
+        # the discriminator's down-sampling conv: stride 4, padding 2, k 5
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3, 17)))
+        w = Tensor(rng.normal(size=(4, 3, 5)))
+        b = Tensor(rng.normal(size=4))
+
+        def loss(xx, bb):
+            return tt.mean(tt.square(tt.conv1d(xx, w, bb, stride=4, padding=2)))
+
+        assert grad_check(lambda xx: loss(xx, b), x, eps=1e-5, tol=1e-6).passed
+        assert grad_check(lambda bb: loss(x, bb), b, eps=1e-5, tol=1e-6).passed
+
+    @pytest.mark.parametrize("wrt", ["x", "w", "b"])
+    def test_conv_transpose_gradients(self, wrt):
+        # the MelGAN up-sampling conv: stride 8, padding 4, k 16
+        rng = np.random.default_rng(6)
+        args = {
+            "x": Tensor(rng.normal(size=(2, 3, 4))),
+            "w": Tensor(rng.normal(size=(2, 3, 16))),
+            "b": Tensor(rng.normal(size=2)),
+        }
+
+        def loss(v):
+            a = dict(args, **{wrt: v})
+            out = tt.conv_transpose1d(a["x"], a["w"], a["b"], stride=8, padding=4)
+            return tt.mean(tt.square(out))
+
+        report = grad_check(loss, args[wrt], eps=1e-5, tol=1e-6)
+        assert report.passed, report.failures[:3]
 
     def test_windowed_rfft_magnitude_oracle(self):
         rng = np.random.default_rng(3)
@@ -285,3 +319,20 @@ def test_leaky_relu_gradient_everywhere_nonzero(seed):
     x = Tensor(rng.normal(size=8) + 1e-6)
     r = grad_check(lambda v: tt.sumall(tt.leaky_relu(v, 0.2)), x, eps=1e-6, tol=1e-5)
     assert r.passed
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+def test_freed_step_memory_is_reused_without_page_faults():
+    import resource  # POSIX only
+
+    # voclab.tensor is imported above, so its allocator policy is in force
+    def allocate_and_free():
+        arrays = [np.ones(1 << 19, dtype=np.float32) for _ in range(32)]  # 32 x 2 MiB
+        del arrays
+
+    allocate_and_free()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    allocate_and_free()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # returning the 64 MiB to the OS would fault in about 16k pages again
+    assert faults < 1000, faults

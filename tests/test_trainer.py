@@ -67,6 +67,23 @@ class TestConfig:
             TrainConfig(log_interval=0)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="segment_length"):
+            TrainConfig(segment_length=1024)  # shorter than the 1200-sample STFT window
+
+    @pytest.mark.parametrize("vocoder", ["melgan", "pwgan"])
+    def test_shortest_segment_trains(self, corpus, tmp_path, vocoder):
+        cfg = desk_config(
+            vocoder,
+            total_iterations=1,
+            d_start_iteration=0,
+            batch_size=1,
+            segment_length=1280,
+            dtype="float64",
+            checkpoint_interval=0,
+        )
+        rec = Trainer(cfg, corpus, tmp_path).step()
+        assert rec["phase"] == "adversarial"
+        assert np.isfinite(rec["g_loss"]) and np.isfinite(rec["d_loss"])
 
     def test_lr_halving_schedule(self):
         assert _lr_at(1.0, (), 500) == 1.0
@@ -148,6 +165,27 @@ class TestLoop:
         assert f"g.{name}" in blobs
 
 
+    def test_nonfinite_gradient_stops_before_the_update(self, corpus, tmp_path, monkeypatch):
+        tr = Trainer(tiny_config(), corpus, tmp_path / "nan_grad")
+        before = {f"g.{n}": a for n, a in tr.g_params.state().items()}
+        grads_by_name = Trainer._grads_by_name
+
+        def poisoned(self, grad_map, params):
+            grads = grads_by_name(self, grad_map, params)
+            name = next(iter(grads))
+            grads[name] = grads[name].copy()
+            grads[name].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(Trainer, "_grads_by_name", poisoned)
+        with pytest.raises(TrainingDiverged, match="gradient") as exc:
+            tr.step()
+        blobs = np.load(exc.value.snapshot_path)
+        for key, arr in before.items():
+            assert np.all(np.isfinite(blobs[key]))
+            assert np.array_equal(blobs[key], arr), key
+
+
 class TestTrainDriver:
     def test_logs_and_checkpoints(self, corpus, tmp_path):
         cfg = tiny_config(log_interval=2, checkpoint_interval=2)
@@ -158,6 +196,13 @@ class TestTrainDriver:
         assert all("heldout_stft" in r and "wall_time" in r for r in log)
         names = sorted(p.name for p in result.checkpoint_paths)
         assert names == ["checkpoint_00000002.npz", "checkpoint_00000004.npz"]
+
+    def test_resume_in_same_directory_truncates_log(self, corpus, tmp_path):
+        cfg = tiny_config(total_iterations=6, d_start_iteration=2, checkpoint_interval=2)
+        full = train(cfg, corpus, tmp_path / "run")
+        train(cfg, corpus, tmp_path / "run", resume_from=full.checkpoint_paths[0])
+        log = [json.loads(l) for l in full.log_path.read_text().splitlines()]
+        assert [r["iteration"] for r in log] == [1, 2, 3, 4, 5, 6]
 
     def test_resume_matches_uninterrupted(self, corpus, tmp_path):
         cfg = tiny_config(total_iterations=6, d_start_iteration=2, checkpoint_interval=3)
