@@ -23,6 +23,7 @@ from .tensor import Tensor
 from .trainer import (
     TrainingDiverged,
     CheckpointError,
+    CorpusError,
     conditioning_config,
     load_generator,
     train,
@@ -87,7 +88,7 @@ def train_cmd(config_path, out, prls, resume):
         sys.exit(EXIT_VALIDATION)
     try:
         result = train(cfg, corpus, out, resume_from=resume)
-    except CheckpointError as exc:
+    except (CheckpointError, CorpusError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     except TrainingDiverged as exc:

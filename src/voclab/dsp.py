@@ -1,8 +1,9 @@
 """Signal analysis shared by losses, data, and metrics.
 
-stft_magnitude and mel_spectrogram run through the autodiff tape (the DFT is
-a fixed matrix product). Cepstra and f0 are plain numpy: they only feed
-evaluation metrics.
+stft_magnitude and mel_spectrogram run through the autodiff tape: frames are
+a strided view of the signal, and the DFT is a real FFT whose backward pass
+is its analytic adjoint (tensor.windowed_rfft_magnitude). Cepstra and f0 are
+plain numpy: they only feed evaluation metrics.
 """
 
 from __future__ import annotations
@@ -121,9 +122,7 @@ def aligned_mel_spectrogram(x, fb: MelFilterbank, cfg: StftConfig):
     left = pad // 2
     x = tt.pad1d(x, left, pad - left, mode="reflect")
     inner = StftConfig(cfg.fft_size, cfg.win_length, cfg.hop, center_pad=False)
-    mag = stft_magnitude(x, inner)
-    mel = tt.matmul(mag, Tensor(fb.weights.T.astype(mag.dtype)))
-    return tt.log(tt.clamp_min(tt.transpose_last2(mel), LOG_MEL_FLOOR))
+    return mel_spectrogram(x, fb, inner)
 
 
 def mel_cepstra(logmel, n_coeffs):

@@ -108,29 +108,39 @@ def melgan_adv_loss(fake_maps):
 LOG_MAG_FLOOR = 1e-7
 
 
-def spectral_convergence(x, x_hat, cfg: StftConfig):
-    """Frobenius distance of magnitudes, normalized by the reference norm."""
-    ref = stft_magnitude(x, cfg)
-    est = stft_magnitude(x_hat, cfg)
+def _spectral_convergence(ref, est):
     denom = tt.frobenius_norm(ref)
     if denom.item() == 0.0:
         raise ValueError("spectral_convergence: reference signal has zero spectral energy")
-    num = tt.frobenius_norm(ref - est)
-    return tt.div(num, denom)
+    return tt.div(tt.frobenius_norm(ref - est), denom)
+
+
+def _log_stft_magnitude(ref, est):
+    log_ref = tt.log(tt.clamp_min(ref, LOG_MAG_FLOOR))
+    log_est = tt.log(tt.clamp_min(est, LOG_MAG_FLOOR))
+    return tt.mean(tt.absval(log_ref - log_est))
+
+
+def spectral_convergence(x, x_hat, cfg: StftConfig):
+    """Frobenius distance of magnitudes, normalized by the reference norm."""
+    return _spectral_convergence(stft_magnitude(x, cfg), stft_magnitude(x_hat, cfg))
 
 
 def log_stft_magnitude(x, x_hat, cfg: StftConfig):
     """Mean absolute difference of log magnitudes, floored at 1e-7."""
-    ref = tt.log(tt.clamp_min(stft_magnitude(x, cfg), LOG_MAG_FLOOR))
-    est = tt.log(tt.clamp_min(stft_magnitude(x_hat, cfg), LOG_MAG_FLOOR))
-    return tt.mean(tt.absval(ref - est))
+    return _log_stft_magnitude(stft_magnitude(x, cfg), stft_magnitude(x_hat, cfg))
 
 
 def multi_resolution_stft(x, x_hat, cfg: MultiStftConfig):
-    """Average over resolutions of spectral convergence + log magnitude."""
+    """Average over resolutions of spectral convergence + log magnitude.
+
+    Each resolution computes the magnitudes of x and x_hat once and feeds
+    both terms from them.
+    """
     total = None
     for c in cfg.configs:
-        term = spectral_convergence(x, x_hat, c) + log_stft_magnitude(x, x_hat, c)
+        ref, est = stft_magnitude(x, c), stft_magnitude(x_hat, c)
+        term = _spectral_convergence(ref, est) + _log_stft_magnitude(ref, est)
         total = term if total is None else total + term
     return total * (1.0 / len(cfg.configs))
 

@@ -472,7 +472,8 @@ def pad1d(x, left, right, mode="constant"):
 
 
 def unfold(x, size, step):
-    """Sliding windows over the last axis: [..., T] -> [..., F, size]."""
+    """Sliding windows over the last axis: [..., T] -> [..., F, size], a
+    read-only strided view of x (no frame is copied)."""
     T = x.shape[-1]
     if size > T:
         raise ShapeError(f"unfold: window {size} longer than axis {T}")
@@ -480,9 +481,7 @@ def unfold(x, size, step):
         raise ValueError("unfold: step must be >= 1")
     F = (T - size) // step + 1
     tape = _result_tape(x)
-    data = np.empty(x.shape[:-1] + (F, size), dtype=x.dtype)
-    for f in range(F):
-        data[..., f, :] = x.data[..., f * step : f * step + size]
+    data = np.lib.stride_tricks.sliding_window_view(x.data, size, axis=-1)[..., ::step, :]
 
     def fn(g):
         gx = np.zeros_like(x.data)
@@ -553,9 +552,7 @@ def windowed_rfft_magnitude(frames, window, fft_size):
     tape = _result_tape(frames)
 
     def fn(g):
-        denom = np.maximum(mag, np.finfo(mag.dtype).tiny)
-        scale = g / denom
-        grad_spec = scale * re + 1j * (scale * im)
+        grad_spec = spec * (g / np.maximum(mag, np.finfo(mag.dtype).tiny))
         # adjoint of rfft: interior bins appear twice in the full spectrum
         grad_spec[..., 1:-1] *= 0.5
         gwf = sfft.irfft(grad_spec, n=fft_size, axis=-1) * fft_size

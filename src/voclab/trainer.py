@@ -39,6 +39,10 @@ class CheckpointError(ValueError):
     """Raised for unreadable or wrong-version checkpoint files."""
 
 
+class CorpusError(ValueError):
+    """Raised for a corpus the trainer cannot use: clips not at SAMPLE_RATE."""
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adam"
@@ -151,6 +155,12 @@ class TrainResult:
 
 class Trainer:
     def __init__(self, config: TrainConfig, corpus, out_dir):
+        rates = sorted({clip.sample_rate for clip in corpus.clips} - {SAMPLE_RATE})
+        if rates:
+            raise CorpusError(
+                f"corpus clips at {', '.join(map(str, rates))} Hz; "
+                f"training needs {SAMPLE_RATE} Hz (the mel filterbank's rate)"
+            )
         self.config = config
         self.corpus = corpus
         self.out_dir = Path(out_dir)
@@ -273,7 +283,7 @@ class Trainer:
             multiscale = cfg.vocoder == "melgan"
 
             # discriminator step on the frozen generator output
-            x_hat_const = Tensor(x_hat.data.copy())
+            x_hat_const = Tensor(x_hat.data)
             tape_d = Tape()
             self.d_params.attach(tape_d)
             real_scores = models.discriminate(batch.wav, self.d_spec, self.d_params)

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from voclab.cli import main
 from voclab.config import ConfigError, default_config_text, parse_config
+from voclab.data import save_corpus, synth_corpus
 from voclab.trainer import desk_config
 
 
@@ -133,6 +134,21 @@ class TestCliWorkflow:
         res = runner.invoke(main, ["train", "--config", str(p), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
         assert "corpus_dir" in res.output
+
+    def test_train_rejects_corpus_not_at_22050_hz(self, runner, tmp_path):
+        corpus = tmp_path / "corpus16k"
+        save_corpus(synth_corpus(0, n_clips=10, duration_s=0.5, n_test=2, sample_rate=16000), corpus)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[data]\ncorpus_dir = {corpus}\nbatch_size = 2\nsegment_length = 4096\n"
+            "[trainer]\ntotal_iterations = 3\nd_start_iteration = 2\n"
+        )
+        out = tmp_path / "run_out"
+        res = runner.invoke(main, ["train", "--config", str(ini), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "16000 Hz" in res.output
+        assert not (out / "train_log.jsonl").exists()
 
     def test_train_synth_eval_pipeline(self, runner, tmp_path):
         corpus = self._make_corpus(runner, tmp_path)

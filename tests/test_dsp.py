@@ -100,6 +100,12 @@ class TestMel:
         with pytest.raises(ValueError):
             aligned_mel_spectrogram(Tensor(np.zeros(1000)), fb, cfg)
 
+    def test_aligned_mel_rejects_mismatched_filterbank(self):
+        cfg = StftConfig(fft_size=1024, win_length=1024, hop=256)
+        fb = mel_filterbank(80, 22050, 0.0, 11025.0, fft_size=512)
+        with pytest.raises(ValueError, match="fft_size"):
+            aligned_mel_spectrogram(Tensor(np.zeros(4096)), fb, cfg)
+
     def test_cepstra_is_orthonormal_dct(self):
         rng = np.random.default_rng(1)
         logmel = rng.normal(size=(20, 7))

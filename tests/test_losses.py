@@ -91,6 +91,40 @@ class TestSpectral:
         ]
         assert total == pytest.approx(sum(parts) / len(parts), rel=1e-12)
 
+    def test_each_magnitude_computed_once(self, monkeypatch):
+        calls = []
+        rfft_magnitude = tt.windowed_rfft_magnitude
+
+        def counted(*args):
+            calls.append(args)
+            return rfft_magnitude(*args)
+
+        monkeypatch.setattr(tt, "windowed_rfft_magnitude", counted)
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(2, 300)), rng.normal(size=(2, 300))
+        multi_resolution_stft(Tensor(x), Tensor(y), SMALL)
+        assert len(calls) == 2 * len(SMALL.configs)
+
+    def test_gradient_matches_public_terms(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 300)), rng.normal(size=(2, 300))
+
+        def grad(loss_fn):
+            tape = tt.Tape()
+            y_hat = Tensor(y, tape=tape, requires_grad=True)
+            return tt.backward(loss_fn(Tensor(x), y_hat), tape)[y_hat].data
+
+        def public(x, y_hat):
+            total = None
+            for c in SMALL.configs:
+                term = spectral_convergence(x, y_hat, c) + log_stft_magnitude(x, y_hat, c)
+                total = term if total is None else total + term
+            return total * (1.0 / len(SMALL.configs))
+
+        got = grad(lambda x, y_hat: multi_resolution_stft(x, y_hat, SMALL))
+        want = grad(public)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
 
 class TestPointwiseRelativistic:
     def test_d_map_is_unreduced(self):

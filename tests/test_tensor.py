@@ -100,6 +100,10 @@ class TestReductionsAndShapes:
         assert frames.shape == (4, 4)
         assert np.array_equal(frames.data[1], [2, 3, 4, 5])
 
+    def test_unfold_is_a_view(self):
+        x = Tensor(np.arange(10.0))
+        assert np.shares_memory(tt.unfold(x, 4, 3).data, x.data)
+
     def test_upsample_zero_and_repeat(self):
         x = Tensor(np.array([[[1.0, 2.0]]]))
         up = tt.upsample_zero(x, 3)
@@ -171,6 +175,15 @@ class TestGradientsOfPrimitives:
         x = Tensor(np.array([0.7, -1.3, 2.1]))
         report = grad_check(fn, x, eps=1e-5, tol=1e-6)
         assert report.passed, f"{name}: {report.max_rel_err}"
+
+    def test_strided_unfold_gradient(self):
+        # 18 samples, size 5, step 3: frames overlap and the last sample is
+        # in no frame, so its gradient is zero
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.normal(size=(5, 5)))
+        fn = lambda x: tt.sumall(tt.square(tt.unfold(x, 5, 3)) * w)
+        report = grad_check(fn, Tensor(rng.normal(size=18)), eps=1e-5, tol=1e-6)
+        assert report.passed, report.max_rel_err
 
     def test_conv1d_matches_brute_force(self):
         rng = np.random.default_rng(0)
