@@ -110,7 +110,7 @@ def train_cmd(config_path, out, prls, resume):
 def synth(checkpoint, mel_from, out, seed):
     """Copy-synthesis: extract mel from WAVs, run the generator, write WAVs."""
     try:
-        vocoder, spec, params = load_generator(checkpoint)
+        vocoder, spec, params, (fmin, fmax) = load_generator(checkpoint)
         paths = sorted(Path(mel_from).glob("*.wav"))
         if not paths:
             raise FileNotFoundError(f"no .wav files in {mel_from}")
@@ -119,7 +119,7 @@ def synth(checkpoint, mel_from, out, seed):
         sys.exit(EXIT_VALIDATION)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fb = mel_filterbank(spec.n_mels, 22050, 0.0, 11025.0, fft_size=1024)
+    fb = mel_filterbank(spec.n_mels, 22050, fmin, fmax, fft_size=1024)
     cond_cfg = conditioning_config()
     rng = np.random.default_rng(seed)
     for path in paths:

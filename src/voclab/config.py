@@ -53,13 +53,12 @@ SCHEMA = {
         "mel_fmax": (float, "11025", "mel filterbank upper edge, Hz"),
     },
     "losses": {
-        "adv_mode": (str, "prls", "prls | lsgan (baseline)"),
+        "adv_mode": (str, "prls", "prls | lsgan (baseline: lambda_rls and lambda_topk set to 0)"),
         "lambda_rls": (float, "0.4", "weight of the pointwise relativistic term"),
         "margin": (float, "1.0", "score margin m"),
-        "lambda_adv": (float, "4.0", "adversarial weight inside the relativistic loss"),
+        "lambda_adv": (float, "4.0", "weight of the least-squares adversarial term, both modes"),
         "lambda_topk": (float, "0.01", "weight of the top-K discrepancy term"),
         "k_fraction": (float, "0.1", "fraction of score positions kept by top-K"),
-        "lambda_adv_baseline": (float, "4.0", "adversarial weight in baseline mode"),
     },
     "trainer": {
         "total_iterations": (int, "3000", "training steps in total"),
@@ -156,7 +155,6 @@ def parse_config(path):
             batch_size=get("data", "batch_size", cfg.batch_size),
             segment_length=get("data", "segment_length", cfg.segment_length),
             adv_mode=get("losses", "adv_mode", cfg.adv_mode),
-            lambda_adv_baseline=get("losses", "lambda_adv_baseline", cfg.lambda_adv_baseline),
             g_optimizer=opt("g", cfg.g_optimizer),
             d_optimizer=opt("d", cfg.d_optimizer),
             g_lr_halvings=get("trainer", "g_lr_halvings", ()),

@@ -99,19 +99,22 @@ def check_loss(name, seed=0, eps=1e-3, tol=1e-4):
         return grad_check(
             lambda f: losses.prls_adv_total(f, Tensor(real), prls), Tensor(fake), eps, tol
         )
-    if name == "melgan_d":
+    if name in ("prls_d_multiscale", "prls_adv_multiscale"):
+        # two scales of different lengths; gradients are checked on the first
         real, fake = _score_pair(rng, (2, 16))
-        real2, fake2 = _score_pair(rng, (2, 4))
+        real2, fake2 = (Tensor(a) for a in _score_pair(rng, (2, 4)))
+        if name == "prls_d_multiscale":
+            return grad_check(
+                lambda r: losses.prls_d_total([r, real2], [Tensor(fake), fake2], prls),
+                Tensor(real),
+                eps,
+                tol,
+            )
         return grad_check(
-            lambda r: losses.melgan_d_loss([r, Tensor(real2)], [Tensor(fake), Tensor(fake2)]),
-            Tensor(real),
+            lambda f: losses.prls_adv_total([f, fake2], [Tensor(real), real2], prls),
+            Tensor(fake),
             eps,
             tol,
-        )
-    if name == "melgan_adv":
-        fake, fake2 = _jittered_scores(rng, (2, 16)), _jittered_scores(rng, (2, 4))
-        return grad_check(
-            lambda f: losses.melgan_adv_loss([f, Tensor(fake2)]), Tensor(fake), eps, tol
         )
     raise KeyError(f"unknown loss check {name!r}")
 
@@ -127,8 +130,8 @@ LOSS_CHECKS = (
     "topk_mean",
     "prls_d_total",
     "prls_adv_total",
-    "melgan_d",
-    "melgan_adv",
+    "prls_d_multiscale",
+    "prls_adv_multiscale",
 )
 
 
@@ -180,7 +183,6 @@ def check_model(name, seed=0, eps=1e-3, tol=1e-4, coords=40):
 
         def f(x):
             maps = models.discriminate(x, spec, params)
-            maps = maps if isinstance(maps, list) else [maps]
             total = tt.mean(maps[0])
             for m in maps[1:]:
                 total = total + tt.mean(m)

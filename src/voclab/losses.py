@@ -1,10 +1,11 @@
 """Adversarial and spectral training objectives.
 
-Least-squares GAN baselines, multi-resolution STFT auxiliaries, and the
-pointwise relativistic variants with top-K discrepancy emphasis. Score maps
-are per-position discriminator outputs [B, T] (a list of maps for the
-multi-scale discriminator); real and fake maps must pair pointwise, so their
-shapes must match exactly.
+One adversarial objective, the pointwise relativistic least-squares loss:
+the LSGAN terms plus a relativistic mean and a top-K discrepancy term. With
+the relativistic weights at zero it is plain LSGAN. Multi-resolution STFT
+auxiliaries complete the generator loss. Score maps are per-position
+discriminator outputs [B, T], one per discriminator scale; real and fake
+maps must pair pointwise, so their shapes must match exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class PrlsConfig:
     lambda_adv: float = 4.0
     lambda_topk: float = 0.01
     k_fraction: float = 0.10
-    enabled_after: int = 0
 
     def __post_init__(self):
         if min(self.lambda_rls, self.lambda_adv, self.lambda_topk) < 0:
@@ -67,7 +67,7 @@ def _as_list(maps):
 
 
 # ---------------------------------------------------------------------------
-# least-squares baselines
+# least-squares terms
 
 
 def lsgan_adv_loss(fake_scores):
@@ -80,26 +80,6 @@ def lsgan_d_loss(real_scores, fake_scores):
     """Discriminator objective: mean (1 - D(x))^2 + mean D(G(z))^2."""
     _check_pair(real_scores, fake_scores, "lsgan_d_loss")
     return tt.mean(tt.square(1.0 - real_scores)) + tt.mean(tt.square(fake_scores))
-
-
-def melgan_d_loss(real_maps, fake_maps):
-    """Multi-scale discriminator objective, summed (not averaged) over scales."""
-    real_maps, fake_maps = _as_list(real_maps), _as_list(fake_maps)
-    if len(real_maps) != len(fake_maps):
-        raise ShapeError("melgan_d_loss: scale count mismatch")
-    total = lsgan_d_loss(real_maps[0], fake_maps[0])
-    for r, f in zip(real_maps[1:], fake_maps[1:]):
-        total = total + lsgan_d_loss(r, f)
-    return total
-
-
-def melgan_adv_loss(fake_maps):
-    """Multi-scale generator objective, summed over scales."""
-    fake_maps = _as_list(fake_maps)
-    total = lsgan_adv_loss(fake_maps[0])
-    for f in fake_maps[1:]:
-        total = total + lsgan_adv_loss(f)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +125,6 @@ def multi_resolution_stft(x, x_hat, cfg: MultiStftConfig):
     return total * (1.0 / len(cfg.configs))
 
 
-def pwgan_generator_total(x, x_hat, fake_scores, stft_cfg: MultiStftConfig, lambda_adv=4.0):
-    """Spectral loss plus weighted adversarial term."""
-    return multi_resolution_stft(x, x_hat, stft_cfg) + lambda_adv * lsgan_adv_loss(fake_scores)
-
-
-def melgan_generator_total(x, x_hat, fake_maps, stft_cfg: MultiStftConfig, lambda_adv=4.0):
-    """Spectral loss plus weighted multi-scale adversarial term."""
-    return multi_resolution_stft(x, x_hat, stft_cfg) + lambda_adv * melgan_adv_loss(fake_maps)
-
-
 # ---------------------------------------------------------------------------
 # pointwise relativistic terms
 
@@ -189,6 +159,17 @@ def topk_mean(per_position, k_fraction):
     return tt.mean(tt.topk_values(per_position, k))
 
 
+def _add_relativistic(term, rel, cfg: PrlsConfig):
+    """term + lambda_rls * mean(rel) + lambda_topk * topk_mean(rel), skipping
+    a zero weight's term, so zero weights leave plain LSGAN bit for bit and
+    need no relativistic map (rel may then be None)."""
+    if cfg.lambda_rls:
+        term = term + cfg.lambda_rls * tt.mean(rel)
+    if cfg.lambda_topk:
+        term = term + cfg.lambda_topk * topk_mean(rel, cfg.k_fraction)
+    return term
+
+
 def prls_d_total(real, fake, cfg: PrlsConfig):
     """Discriminator loss: LSGAN terms + relativistic mean + top-K emphasis.
 
@@ -198,14 +179,11 @@ def prls_d_total(real, fake, cfg: PrlsConfig):
     reals, fakes = _as_list(real), _as_list(fake)
     if len(reals) != len(fakes):
         raise ShapeError("prls_d_total: scale count mismatch")
+    relativistic = cfg.lambda_rls or cfg.lambda_topk
     total = None
     for r, f in zip(reals, fakes):
-        rel = pointwise_relativistic_d(r, f, cfg.margin)
-        term = (
-            lsgan_d_loss(r, f)
-            + cfg.lambda_rls * tt.mean(rel)
-            + cfg.lambda_topk * topk_mean(rel, cfg.k_fraction)
-        )
+        rel = pointwise_relativistic_d(r, f, cfg.margin) if relativistic else None
+        term = _add_relativistic(lsgan_d_loss(r, f), rel, cfg)
         total = term if total is None else total + term
     return total
 
@@ -219,13 +197,10 @@ def prls_adv_total(fake, real, cfg: PrlsConfig):
     reals, fakes = _as_list(real), _as_list(fake)
     if len(reals) != len(fakes):
         raise ShapeError("prls_adv_total: scale count mismatch")
+    relativistic = cfg.lambda_rls or cfg.lambda_topk
     total = None
     for r, f in zip(reals, fakes):
-        rel = pointwise_relativistic_g(f, r, cfg.margin)
-        term = (
-            cfg.lambda_adv * lsgan_adv_loss(f)
-            + cfg.lambda_rls * tt.mean(rel)
-            + cfg.lambda_topk * topk_mean(rel, cfg.k_fraction)
-        )
+        rel = pointwise_relativistic_g(f, r, cfg.margin) if relativistic else None
+        term = _add_relativistic(cfg.lambda_adv * lsgan_adv_loss(f), rel, cfg)
         total = term if total is None else total + term
     return total

@@ -73,9 +73,6 @@ class ParameterSet:
         for name, arr in state.items():
             self.set_data(name, np.asarray(arr, dtype=self._params[name].dtype))
 
-    def n_values(self):
-        return sum(t.data.size for t in self._params.values())
-
     def replaced(self, name, t):
         """Shallow copy with one tensor substituted (used by gradient checks)."""
         if name not in self._params:
@@ -289,9 +286,9 @@ def _discriminate_scale(wav, spec: DiscriminatorSpec, params, si):
 
 
 def discriminate(wav, spec: DiscriminatorSpec, params):
-    """Waveform [B, 1, T] -> per-position score map(s).
+    """Waveform [B, 1, T] -> list of per-position [B, T'] score maps.
 
-    pwgan_single returns one [B, T'] map; melgan_multiscale returns a list of
+    pwgan_single returns a list of one map; melgan_multiscale returns
     n_scales maps, each computed on a 4x average-pooled copy of its
     predecessor's input.
     """
@@ -302,11 +299,10 @@ def discriminate(wav, spec: DiscriminatorSpec, params):
             f"discriminate: input length {wav.shape[-1]} below receptive field "
             f"{spec.receptive_field()}"
         )
-    if spec.kind == "pwgan_single":
-        return _discriminate_scale(wav, spec, params, 0)
+    n_scales = spec.n_scales if spec.kind == "melgan_multiscale" else 1
     maps = []
     h = wav
-    for si in range(spec.n_scales):
+    for si in range(n_scales):
         if si:
             h = tt.avg_pool1d(h, spec.pool)
         maps.append(_discriminate_scale(h, spec, params, si))

@@ -355,10 +355,6 @@ def frobenius_norm(x):
     return sqrt(sumall(square(x)))
 
 
-def l1_norm(x):
-    return sumall(absval(x))
-
-
 def topk_values(x, k, axis=-1):
     """Values of the k largest entries along the last axis, descending.
 
@@ -407,41 +403,6 @@ def transpose_last2(x):
 
     def fn(g):
         return [(x, np.swapaxes(g, -1, -2))]
-
-    return _make(data, tape, fn)
-
-
-def narrow(x, start, length, axis=-1):
-    axis = axis % x.ndim
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeError(
-            f"narrow: [{start}, {start + length}) out of range for axis {axis} of {x.shape}"
-        )
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    tape = _result_tape(x)
-    data = x.data[idx].copy()
-
-    def fn(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return [(x, gx)]
-
-    return _make(data, tape, fn)
-
-
-def concat(tensors, axis=-1):
-    if not tensors:
-        raise ShapeError("concat: empty tensor list")
-    axis = axis % tensors[0].ndim
-    tape = _result_tape(*tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def fn(g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        return list(zip(tensors, pieces))
 
     return _make(data, tape, fn)
 
@@ -499,19 +460,6 @@ def repeat_interleave(x, r):
 
     def fn(g):
         return [(x, g.reshape(g.shape[:-1] + (x.shape[-1], r)).sum(axis=-1))]
-
-    return _make(data, tape, fn)
-
-
-def upsample_zero(x, factor):
-    """Insert factor-1 zeros between samples: [..., L] -> [..., (L-1)*factor + 1]."""
-    L = x.shape[-1]
-    tape = _result_tape(x)
-    data = np.zeros(x.shape[:-1] + ((L - 1) * factor + 1,), dtype=x.dtype)
-    data[..., ::factor] = x.data
-
-    def fn(g):
-        return [(x, g[..., ::factor].copy())]
 
     return _make(data, tape, fn)
 
@@ -719,17 +667,6 @@ def conv_transpose1d(x, w, b=None, stride=1, padding=0):
 def randn(rng, shape, dtype=np.float64):
     """Seeded standard-normal tensor; never tape-attached."""
     return Tensor(rng.standard_normal(shape).astype(dtype, copy=False))
-
-
-def argmax(x):
-    return int(np.argmax(x.data))
-
-
-def greater(a, b):
-    """Comparison mask as a plain float tensor (1.0 / 0.0)."""
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-    return Tensor((a.data > b.data).astype(a.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ class TrainConfig:
     d_start_iteration: int = 2000
     batch_size: int = 8
     segment_length: int = 4096
-    adv_mode: str = "prls"  # "prls" | "lsgan"
-    lambda_adv_baseline: float = 4.0
+    adv_mode: str = "prls"  # "prls" | "lsgan": prls with zero relativistic weights
     g_optimizer: OptimizerConfig = OptimizerConfig("adam", 1e-3, (0.9, 0.999), None)
     d_optimizer: OptimizerConfig = OptimizerConfig("adam", 1e-3, (0.9, 0.999), 1.0)
     g_lr_halvings: tuple = ()
@@ -171,6 +170,9 @@ class Trainer:
             config.n_mels, SAMPLE_RATE, config.mel_fmin, config.mel_fmax, fft_size=1024
         )
         self.cond_cfg = conditioning_config()
+        self.adv_weights = config.prls
+        if config.adv_mode == "lsgan":
+            self.adv_weights = replace(config.prls, lambda_rls=0.0, lambda_topk=0.0)
         self.g_params = models.init_params(self.g_spec, config.seed + 1, self.dtype)
         self.d_params = models.init_params(self.d_spec, config.seed + 2, self.dtype)
         self.g_state = OptimState(config.g_optimizer.kind)
@@ -277,23 +279,13 @@ class Trainer:
             record["g_loss"] = record["stft_loss"]
             record["g_grad_norm"] = self._apply("g", grads, batch)
         else:
-            use_prls = cfg.adv_mode == "prls" and it > max(
-                cfg.prls.enabled_after, cfg.d_start_iteration
-            ) - 1
-            multiscale = cfg.vocoder == "melgan"
-
             # discriminator step on the frozen generator output
             x_hat_const = Tensor(x_hat.data)
             tape_d = Tape()
             self.d_params.attach(tape_d)
             real_scores = models.discriminate(batch.wav, self.d_spec, self.d_params)
             fake_scores = models.discriminate(x_hat_const, self.d_spec, self.d_params)
-            if use_prls:
-                d_loss = losses.prls_d_total(real_scores, fake_scores, cfg.prls)
-            elif multiscale:
-                d_loss = losses.melgan_d_loss(real_scores, fake_scores)
-            else:
-                d_loss = losses.lsgan_d_loss(real_scores, fake_scores)
+            d_loss = losses.prls_d_total(real_scores, fake_scores, self.adv_weights)
             record["d_loss"] = d_loss.item()
             self._check_finite(record["d_loss"], "discriminator loss", batch)
             d_grads = self._grads_by_name(tt.backward(d_loss, tape_d), self.d_params)
@@ -305,23 +297,14 @@ class Trainer:
             self.d_params.set_requires_grad(False)
             fake_for_g = models.discriminate(x_hat, self.d_spec, self.d_params)
             real_const = models.discriminate(batch.wav, self.d_spec, self.d_params)
-            if use_prls:
-                adv = losses.prls_adv_total(fake_for_g, real_const, cfg.prls)
-            elif multiscale:
-                adv = cfg.lambda_adv_baseline * losses.melgan_adv_loss(fake_for_g)
-            else:
-                adv = cfg.lambda_adv_baseline * losses.lsgan_adv_loss(fake_for_g)
-            g_loss = stft_loss + adv
+            g_loss = stft_loss + losses.prls_adv_total(fake_for_g, real_const, self.adv_weights)
             record["g_loss"] = g_loss.item()
             self._check_finite(record["g_loss"], "generator loss", batch)
             g_grads = self._grads_by_name(tt.backward(g_loss, tape_g), self.g_params)
             self.g_params.detach()
             self.d_params.set_requires_grad(True)
             record["g_grad_norm"] = self._apply("g", g_grads, batch)
-            maps = real_const if multiscale else [real_const]
-            record["mean_real_score"] = float(
-                np.mean([m.data.mean() for m in maps])
-            )
+            record["mean_real_score"] = float(np.mean([m.data.mean() for m in real_const]))
         return record
 
 
@@ -378,6 +361,8 @@ def save_checkpoint(path, trainer: Trainer):
         "__iteration__": np.array(trainer.iteration),
         "__vocoder__": np.array(trainer.config.vocoder),
         "__n_mels__": np.array(trainer.config.n_mels),
+        "__mel_fmin__": np.array(trainer.config.mel_fmin),
+        "__mel_fmax__": np.array(trainer.config.mel_fmax),
         "__rng__": np.array(json.dumps(trainer.rng.bit_generator.state)),
         "__g_step__": np.array(trainer.g_state.step),
         "__d_step__": np.array(trainer.d_state.step),
@@ -403,12 +388,8 @@ def save_checkpoint(path, trainer: Trainer):
     return path
 
 
-def load_checkpoint(path, trainer: Trainer):
-    """Restore parameters, optimizer moments, iteration, and the RNG stream.
-
-    Parameters and moments are cast to the trainer's dtype, so a checkpoint
-    written in another dtype resumes without promoting the update.
-    """
+def _read_checkpoint(path):
+    """All arrays of a checkpoint file, once it is readable and of our version."""
     try:
         blobs = dict(np.load(path, allow_pickle=False))
     except (OSError, ValueError) as exc:
@@ -418,6 +399,16 @@ def load_checkpoint(path, trainer: Trainer):
         raise CheckpointError(
             f"{path}: checkpoint version {found} unsupported (expected {CHECKPOINT_VERSION})"
         )
+    return blobs
+
+
+def load_checkpoint(path, trainer: Trainer):
+    """Restore parameters, optimizer moments, iteration, and the RNG stream.
+
+    Parameters and moments are cast to the trainer's dtype, so a checkpoint
+    written in another dtype resumes without promoting the update.
+    """
+    blobs = _read_checkpoint(path)
     vocoder = str(blobs["__vocoder__"])
     if vocoder != trainer.config.vocoder:
         raise CheckpointError(
@@ -446,16 +437,13 @@ def load_checkpoint(path, trainer: Trainer):
 def load_generator(path, dtype=np.float32):
     """Load just the generator from a checkpoint, for synthesis.
 
-    Returns (vocoder kind, generator spec, ParameterSet).
+    Returns (vocoder kind, generator spec, ParameterSet, (mel_fmin, mel_fmax));
+    checkpoints without a stored mel range get the default 0-11025 Hz.
     """
-    try:
-        blobs = dict(np.load(path, allow_pickle=False))
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
-    if "__version__" not in blobs or int(blobs["__version__"]) != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version")
+    blobs = _read_checkpoint(path)
     vocoder = str(blobs["__vocoder__"])
     n_mels = int(blobs.get("__n_mels__", 80))
+    mel_range = (float(blobs.get("__mel_fmin__", 0.0)), float(blobs.get("__mel_fmax__", 11025.0)))
     if vocoder == "melgan":
         spec = models.MelganGeneratorSpec(n_mels=n_mels)
     elif vocoder == "pwgan":
@@ -467,4 +455,4 @@ def load_generator(path, dtype=np.float32):
         params.load({name: blobs[f"g.{name}"] for name in params.names()})
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint does not match the model ({exc})") from exc
-    return vocoder, spec, params
+    return vocoder, spec, params, mel_range

@@ -9,8 +9,12 @@ from click.testing import CliRunner
 
 from voclab.cli import main
 from voclab.config import ConfigError, default_config_text, parse_config
-from voclab.data import save_corpus, synth_corpus
-from voclab.trainer import desk_config
+from voclab import tensor as tt
+from voclab.data import AudioClip, read_wav, save_corpus, synth_corpus, write_wav
+from voclab.dsp import aligned_mel_spectrogram, mel_filterbank
+from voclab.models import melgan_generate
+from voclab.tensor import Tensor
+from voclab.trainer import Trainer, conditioning_config, desk_config, save_checkpoint
 
 
 @pytest.fixture
@@ -119,6 +123,7 @@ class TestCliWorkflow:
             ("[trainer]\nlog_interval = 0\n", "log_interval"),
             ("[data]\nbatch_size = 0\n", "batch_size"),
             ("[data]\nsegment_length = 1024\n", "segment_length"),
+            ("[losses]\nlambda_adv_baseline = 4.0\n", "lambda_adv_baseline"),
         ],
     )
     def test_train_rejects_bad_value(self, runner, tmp_path, text, key):
@@ -183,6 +188,28 @@ class TestCliWorkflow:
         data = json.loads(rep.with_suffix(".json").read_text())
         assert len(data["pairs"]) == 10
         assert "MCD" in res.output
+
+    def test_synth_uses_checkpoint_mel_range(self, runner, tmp_path):
+        corpus = synth_corpus(0, n_clips=4, duration_s=0.5, n_test=1)
+        save_corpus(corpus, tmp_path / "corpus")
+        tr = Trainer(desk_config("melgan", mel_fmax=8000.0), corpus, tmp_path / "run")
+        ckpt = save_checkpoint(tmp_path / "ck.npz", tr)
+        syn = tmp_path / "syn"
+        res = runner.invoke(
+            main, ["synth", "--checkpoint", str(ckpt), "--mel-from", str(tmp_path / "corpus"),
+                   "--out", str(syn)],
+        )
+        assert res.exit_code == 0, res.output
+        fb = mel_filterbank(80, 22050, 0.0, 8000.0, fft_size=1024)
+        for ref in sorted((tmp_path / "corpus").glob("*.wav")):
+            clip = read_wav(ref)
+            n = (len(clip) // 256) * 256
+            mel = aligned_mel_spectrogram(
+                Tensor(clip.samples[:n].astype(np.float32)), fb, conditioning_config()
+            )
+            wav = melgan_generate(tt.reshape(mel, (1,) + mel.shape), tr.g_spec, tr.g_params)
+            write_wav(tmp_path / "expected.wav", AudioClip(np.clip(wav.data[0, 0], -1.0, 1.0)))
+            assert (syn / ref.name).read_bytes() == (tmp_path / "expected.wav").read_bytes()
 
     def test_resume_rejects_garbage_checkpoint(self, runner, tmp_path):
         corpus = self._make_corpus(runner, tmp_path)

@@ -16,8 +16,6 @@ from voclab.losses import (
     lsgan_adv_loss,
     lsgan_d_loss,
     log_stft_magnitude,
-    melgan_adv_loss,
-    melgan_d_loss,
     multi_resolution_stft,
     pointwise_relativistic_d,
     pointwise_relativistic_g,
@@ -51,11 +49,38 @@ class TestLsgan:
         with pytest.raises(ShapeError):
             lsgan_d_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
 
-    def test_multiscale_sums_over_scales(self):
+    # adv_mode = lsgan: the PRLS objective with lambda_rls = lambda_topk = 0
+    LSGAN = PrlsConfig(lambda_rls=0.0, lambda_topk=0.0)
+
+    @pytest.fixture
+    def no_relativistic_path(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("zero weights must not build a relativistic map or top-K")
+
+        monkeypatch.setattr(losses, "pointwise_relativistic_d", fail)
+        monkeypatch.setattr(losses, "pointwise_relativistic_g", fail)
+        monkeypatch.setattr(tt, "topk_values", fail)
+
+    def test_multiscale_sums_over_scales(self, no_relativistic_path):
         maps = [Tensor(np.full((1, 4), 2.0)), Tensor(np.full((1, 2), 3.0))]
-        assert melgan_adv_loss(maps).item() == pytest.approx(1.0 + 4.0)
         reals = [Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2)))]
-        assert melgan_d_loss(reals, maps).item() == pytest.approx(4.0 + 9.0)
+        assert prls_adv_total(maps, reals, self.LSGAN).item() == 4.0 * (1.0 + 4.0)
+        assert prls_d_total(reals, maps, self.LSGAN).item() == 4.0 + 9.0
+
+    def test_zero_weights_equal_per_scale_sums_exactly(self, no_relativistic_path):
+        rng = np.random.default_rng(5)
+        reals = [Tensor(rng.normal(size=(2, n)).astype(np.float32)) for n in (64, 16, 4)]
+        fakes = [Tensor(rng.normal(size=(2, n)).astype(np.float32)) for n in (64, 16, 4)]
+        d_sum = lsgan_d_loss(reals[0], fakes[0])
+        adv_sum = lsgan_adv_loss(fakes[0])
+        for r, f in zip(reals[1:], fakes[1:]):
+            d_sum = d_sum + lsgan_d_loss(r, f)
+            adv_sum = adv_sum + lsgan_adv_loss(f)
+        assert prls_d_total(reals, fakes, self.LSGAN).item() == d_sum.item()
+        assert prls_adv_total(fakes, reals, self.LSGAN).item() == (4.0 * adv_sum).item()
+        # a single-scale map may be passed bare
+        one = prls_d_total(reals[0], fakes[0], self.LSGAN)
+        assert one.item() == lsgan_d_loss(reals[0], fakes[0]).item()
 
 
 class TestSpectral:

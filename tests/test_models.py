@@ -155,7 +155,7 @@ class TestDiscriminator:
         spec = DiscriminatorSpec(kind="pwgan_single")
         params = init_params(spec, seed=0)
         wav = Tensor(np.random.default_rng(0).normal(size=(2, 1, 4096)).astype(np.float32) * 0.1)
-        scores = discriminate(wav, spec, params)
+        (scores,) = discriminate(wav, spec, params)
         assert scores.shape == (2, 4096 // spec.score_stride)
 
     def test_multiscale_returns_three_pooled_maps(self):
@@ -175,10 +175,10 @@ class TestDiscriminator:
         # a unit impulse at the center influences the center score; one far
         # outside the receptive field of position 0 does not change score 0
         params = init_params(spec, seed=0)
-        base = discriminate(Tensor(np.zeros((1, 1, 4096), dtype=np.float64)), spec, params)
+        (base,) = discriminate(Tensor(np.zeros((1, 1, 4096), dtype=np.float64)), spec, params)
         x = np.zeros((1, 1, 4096))
         x[0, 0, 3000] = 1.0
-        poked = discriminate(Tensor(x), spec, params)
+        (poked,) = discriminate(Tensor(x), spec, params)
         assert poked.data[0, 0] == base.data[0, 0]
         assert not np.array_equal(poked.data, base.data)
 

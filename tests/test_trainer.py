@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voclab.data import synth_corpus
+from voclab.losses import PrlsConfig
 from voclab.trainer import (
     CheckpointError,
     OptimizerConfig,
@@ -134,6 +135,17 @@ class TestLoop:
             acc.extend(tr.step() for _ in range(4))
         assert rec_p[0] == rec_b[0] and rec_p[1] == rec_b[1]  # pretrain identical
         assert rec_p[2]["d_loss"] != rec_b[2]["d_loss"]  # new terms live at once
+
+    def test_lsgan_mode_weights_adversarial_term_by_lambda_adv(self, corpus, tmp_path):
+        recs = {}
+        for lam in (4.0, 2.0):
+            cfg = tiny_config(adv_mode="lsgan", prls=PrlsConfig(lambda_adv=lam))
+            tr = Trainer(cfg, corpus, tmp_path / str(lam))
+            recs[lam] = [tr.step() for _ in range(3)][2]  # first adversarial step
+        assert recs[4.0]["g_loss"] != recs[2.0]["g_loss"]
+        assert recs[4.0]["d_loss"] == recs[2.0]["d_loss"]
+        adv = {lam: r["g_loss"] - r["stft_loss"] for lam, r in recs.items()}
+        assert adv[4.0] == pytest.approx(2.0 * adv[2.0], rel=1e-9)
 
     def test_pwgan_variant_steps(self, corpus, tmp_path):
         cfg = desk_config(
@@ -346,7 +358,18 @@ class TestCheckpointFiles:
         tr = Trainer(tiny_config(), corpus, tmp_path / "lg")
         tr.step()
         path = save_checkpoint(tmp_path / "ck.npz", tr)
-        vocoder, spec, params = load_generator(path, dtype=np.float64)
+        vocoder, spec, params, mel_range = load_generator(path, dtype=np.float64)
         assert vocoder == "melgan"
+        assert mel_range == (0.0, 11025.0)
         for name, arr in tr.g_params.state().items():
             assert np.array_equal(params[name].data, arr)
+
+    def test_load_generator_mel_range(self, corpus, tmp_path):
+        tr = Trainer(tiny_config(mel_fmin=50.0, mel_fmax=8000.0), corpus, tmp_path / "mr")
+        path = save_checkpoint(tmp_path / "ck.npz", tr)
+        assert load_generator(path)[3] == (50.0, 8000.0)
+        # checkpoints written before the range was stored fall back to 0-11025 Hz
+        blobs = dict(np.load(path, allow_pickle=False))
+        del blobs["__mel_fmin__"], blobs["__mel_fmax__"]
+        np.savez(tmp_path / "old.npz", **blobs)
+        assert load_generator(tmp_path / "old.npz")[3] == (0.0, 11025.0)
