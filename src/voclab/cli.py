@@ -15,8 +15,10 @@ import numpy as np
 from . import models
 from . import tensor as tt
 from .config import ConfigError, default_config_text, parse_config
-from .data import AudioClip, load_corpus, read_wav, save_corpus, synth_corpus, write_wav
-from .dsp import mel_filterbank
+from .data import (
+    SAMPLE_RATE, AudioClip, load_corpus, read_wav, save_corpus, synth_corpus, write_wav,
+)
+from .dsp import aligned_mel_spectrogram, mel_filterbank
 from .gradcheck import LOSS_CHECKS, MODEL_CHECKS, run_suite
 from .metrics import evaluate_corpus
 from .tensor import Tensor
@@ -114,23 +116,28 @@ def synth(checkpoint, mel_from, out, seed):
         paths = sorted(Path(mel_from).glob("*.wav"))
         if not paths:
             raise FileNotFoundError(f"no .wav files in {mel_from}")
-    except (CheckpointError, FileNotFoundError) as exc:
+        clips = [read_wav(path) for path in paths]
+        for path, clip in zip(paths, clips):
+            if clip.sample_rate != SAMPLE_RATE:
+                raise ValueError(
+                    f"{path} is at {clip.sample_rate} Hz; "
+                    f"synthesis needs {SAMPLE_RATE} Hz (the mel filterbank's rate)"
+                )
+    except (FileNotFoundError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fb = mel_filterbank(spec.n_mels, 22050, fmin, fmax, fft_size=1024)
+    fb = mel_filterbank(spec.n_mels, SAMPLE_RATE, fmin, fmax, fft_size=1024)
     cond_cfg = conditioning_config()
     rng = np.random.default_rng(seed)
-    for path in paths:
-        clip = read_wav(path)
-        n = (len(clip) // 256) * 256
+    written = 0
+    for path, clip in zip(paths, clips):
+        n = (len(clip) // cond_cfg.hop) * cond_cfg.hop
         if n < cond_cfg.win_length:
             click.echo(f"skipping {path.name}: too short", err=True)
             continue
         x = clip.samples[:n].astype(np.float32)
-        from .dsp import aligned_mel_spectrogram
-
         mel = aligned_mel_spectrogram(Tensor(x), fb, cond_cfg)
         mel = tt.reshape(mel, (1,) + mel.shape)
         if vocoder == "melgan":
@@ -143,7 +150,8 @@ def synth(checkpoint, mel_from, out, seed):
             click.echo(f"numerical failure: non-finite output for {path.name}", err=True)
             sys.exit(EXIT_NUMERICAL)
         write_wav(out_dir / path.name, AudioClip(samples, clip.sample_rate, id=path.stem))
-    click.echo(f"wrote {len(paths)} files to {out_dir}")
+        written += 1
+    click.echo(f"wrote {written} files to {out_dir}")
 
 
 @main.command("eval")

@@ -1,95 +1,81 @@
 """Run configuration files: flat INI-style key = value text.
 
+The keys, their sections, docs and types come from the fields of
+TrainConfig, OptimizerConfig and PrlsConfig that carry `setting` metadata;
+the optimizer keys take a `g_`/`d_` prefix (`g_optimizer`, `d_lr`, ...).
+`[data] corpus_dir` is the one key that is not a TrainConfig field.
 Unknown sections or keys are hard errors so typos never pass silently.
-Every key has a documented default; empty optimizer fields fall back to the
-per-vocoder defaults (Adam for melgan, rectified Adam for pwgan).
+An empty value keeps the vocoder's default (`init-config` writes them all);
+`none` turns gradient clipping off.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import reduce
 from pathlib import Path
+from typing import get_type_hints
 
-from .losses import PrlsConfig
-from .trainer import OptimizerConfig, TrainConfig, desk_config
+from .trainer import TrainConfig, desk_config
 
 
 class ConfigError(ValueError):
     """Raised with every validation problem collected, one per line."""
 
 
-def _float_or_none(s):
-    s = s.strip()
-    return None if s in ("", "none") else float(s)
+def _settings(cls, prefix="", path=()):
+    """(section, key, field path, type, doc) of each INI field of cls, nested ones too."""
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        if "prefix" in f.metadata:
+            yield from _settings(types[f.name], prefix + f.metadata["prefix"], path + (f.name,))
+        elif "section" in f.metadata:
+            key = prefix + (f.metadata["key"] or f.name)
+            yield f.metadata["section"], key, path + (f.name,), types[f.name], f.metadata["doc"]
 
 
-def _clip_value(s):
-    """'' or 'default' -> per-vocoder default; 'none' -> no clipping; else a number."""
-    s = s.strip().lower()
-    if s in ("", "default"):
-        return "default"
-    if s == "none":
-        return None
-    return float(s)
+def schema():
+    """section -> key -> (field path, type, doc), in field order."""
+    corpus_dir = (("corpus_dir",), str, "directory of training WAVs (from make-data)")
+    table = {"data": {"corpus_dir": corpus_dir}}
+    for section, key, path, typ, doc in _settings(TrainConfig):
+        table.setdefault(section, {})[key] = (path, typ, doc)
+    return table
 
 
-def _int_tuple(s):
-    s = s.strip()
-    return tuple(int(v) for v in s.split(",")) if s else ()
+def _parse(typ, raw):
+    if typ is tuple:
+        return tuple(int(v) for v in raw.split(","))
+    if typ == float | None:
+        return None if raw.lower() == "none" else float(raw)
+    return typ(raw)
 
 
-# section -> key -> (parser, default-as-text, doc)
-SCHEMA = {
-    "data": {
-        "corpus_dir": (str, "", "directory of training WAVs (from make-data)"),
-        "segment_length": (int, "4096", "training segment samples, multiple of 256"),
-        "batch_size": (int, "8", "segments per training step"),
-    },
-    "model": {
-        "vocoder": (str, "melgan", "melgan | pwgan"),
-        "n_mels": (int, "80", "mel bands for conditioning"),
-        "mel_fmin": (float, "0", "mel filterbank lower edge, Hz"),
-        "mel_fmax": (float, "11025", "mel filterbank upper edge, Hz"),
-    },
-    "losses": {
-        "adv_mode": (str, "prls", "prls | lsgan (baseline: lambda_rls and lambda_topk set to 0)"),
-        "lambda_rls": (float, "0.4", "weight of the pointwise relativistic term"),
-        "margin": (float, "1.0", "score margin m"),
-        "lambda_adv": (float, "4.0", "weight of the least-squares adversarial term, both modes"),
-        "lambda_topk": (float, "0.01", "weight of the top-K discrepancy term"),
-        "k_fraction": (float, "0.1", "fraction of score positions kept by top-K"),
-    },
-    "trainer": {
-        "total_iterations": (int, "3000", "training steps in total"),
-        "d_start_iteration": (int, "2000", "warm-start length; D is frozen before this"),
-        "g_optimizer": (str, "", "adam | radam (empty: per-vocoder default)"),
-        "g_lr": (_float_or_none, "", "generator learning rate (empty: default)"),
-        "g_grad_clip": (_clip_value, "", "G clip: empty=vocoder default, none=off, or a number"),
-        "d_optimizer": (str, "", "adam | radam (empty: per-vocoder default)"),
-        "d_lr": (_float_or_none, "", "discriminator learning rate (empty: default)"),
-        "d_grad_clip": (_clip_value, "", "D clip: empty=vocoder default, none=off, or a number"),
-        "g_lr_halvings": (_int_tuple, "", "iterations at which G lr halves, comma-separated"),
-        "d_lr_halvings": (_int_tuple, "", "iterations at which D lr halves, comma-separated"),
-        "seed": (int, "0", "master seed for data, init, and noise"),
-        "dtype": (str, "float32", "float32 (training) | float64 (verification)"),
-        "log_interval": (int, "10", "iterations between JSONL log records"),
-        "checkpoint_interval": (int, "1000", "iterations between checkpoints"),
-    },
-    "metrics": {},  # reserved; evaluation has no tunables yet
-}
+def _format(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "none" if value is None else str(value)
+
+
+def _replace(obj, changes):
+    """obj with changes applied; nested configs are built first, so each
+    config's checks see only its final values."""
+    return replace(obj, **{
+        name: _replace(getattr(obj, name), v) if isinstance(v, dict) else v
+        for name, v in changes.items()
+    })
 
 
 def default_config_text(vocoder="melgan"):
-    """A fully commented config reproducing the desk-scale acceptance runs."""
+    """A fully commented config holding every value of desk_config(vocoder)."""
+    cfg = desk_config(vocoder)
     lines = [f"# voclab run configuration (defaults for vocoder = {vocoder})"]
-    for section, keys in SCHEMA.items():
+    for section, keys in schema().items():
         lines.append(f"\n[{section}]")
-        for key, (_, default, doc) in keys.items():
-            if key == "vocoder":
-                default = vocoder
-            lines.append(f"# {doc}")
-            lines.append(f"{key} = {default}")
+        for key, (path, _, doc) in keys.items():
+            value = "" if key == "corpus_dir" else _format(reduce(getattr, path, cfg))
+            lines += [f"# {doc}", f"{key} = {value}"]
     return "\n".join(lines) + "\n"
 
 
@@ -102,73 +88,35 @@ def parse_config(path):
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    table = schema()
     problems = []
-    values = {}
+    changes = {}
     for section in parser.sections():
-        if section not in SCHEMA:
+        if section not in table:
             problems.append(f"unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
+            if key not in table[section]:
                 problems.append(f"unknown key {key!r} in section [{section}]")
                 continue
-            conv = SCHEMA[section][key][0]
+            path, typ, _ = table[section][key]
+            if not raw:
+                continue
             try:
-                values[(section, key)] = conv(raw)
+                value = _parse(typ, raw)
             except ValueError:
                 problems.append(f"[{section}] {key}: cannot parse {raw!r}")
+                continue
+            node = changes
+            for name in path[:-1]:
+                node = node.setdefault(name, {})
+            node[path[-1]] = value
     if problems:
         raise ConfigError("\n".join(problems))
 
-    def get(section, key, fallback=None):
-        return values.get((section, key), fallback)
-
-    vocoder = get("model", "vocoder", "melgan")
+    corpus_dir = changes.pop("corpus_dir", None)
     try:
-        cfg = desk_config(vocoder)
+        cfg = _replace(desk_config(changes.pop("vocoder", TrainConfig.vocoder)), changes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    def opt(which, base: OptimizerConfig):
-        kind = get("trainer", f"{which}_optimizer") or base.kind
-        lr = get("trainer", f"{which}_lr")
-        clip = get("trainer", f"{which}_grad_clip", "default")
-        return OptimizerConfig(
-            kind=kind,
-            lr=base.lr if lr is None else lr,
-            betas=base.betas,
-            grad_clip=base.grad_clip if clip == "default" else clip,
-        )
-
-    prls = PrlsConfig(
-        lambda_rls=get("losses", "lambda_rls", 0.4),
-        margin=get("losses", "margin", 1.0),
-        lambda_adv=get("losses", "lambda_adv", 4.0),
-        lambda_topk=get("losses", "lambda_topk", 0.01),
-        k_fraction=get("losses", "k_fraction", 0.1),
-    )
-    try:
-        cfg = replace(
-            cfg,
-            total_iterations=get("trainer", "total_iterations", cfg.total_iterations),
-            d_start_iteration=get("trainer", "d_start_iteration", cfg.d_start_iteration),
-            batch_size=get("data", "batch_size", cfg.batch_size),
-            segment_length=get("data", "segment_length", cfg.segment_length),
-            adv_mode=get("losses", "adv_mode", cfg.adv_mode),
-            g_optimizer=opt("g", cfg.g_optimizer),
-            d_optimizer=opt("d", cfg.d_optimizer),
-            g_lr_halvings=get("trainer", "g_lr_halvings", ()),
-            d_lr_halvings=get("trainer", "d_lr_halvings", ()),
-            prls=prls,
-            n_mels=get("model", "n_mels", cfg.n_mels),
-            mel_fmin=get("model", "mel_fmin", cfg.mel_fmin),
-            mel_fmax=get("model", "mel_fmax", cfg.mel_fmax),
-            seed=get("trainer", "seed", cfg.seed),
-            dtype=get("trainer", "dtype", cfg.dtype),
-            log_interval=get("trainer", "log_interval", cfg.log_interval),
-            checkpoint_interval=get("trainer", "checkpoint_interval", cfg.checkpoint_interval),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    corpus_dir = get("data", "corpus_dir", "")
     return cfg, Path(corpus_dir) if corpus_dir else None

@@ -11,22 +11,30 @@ maps must pair pointwise, so their shapes must match exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import tensor as tt
 from .dsp import StftConfig, stft_magnitude
 from .tensor import ShapeError, Tensor
 
 
+def setting(section, default, doc, key=None):
+    """A config field that run-config files set as `key` (default: the field's
+    name) in `[section]`; voclab.config derives its parser from these."""
+    return field(default=default, metadata={"section": section, "doc": doc, "key": key})
+
+
 @dataclass(frozen=True)
 class PrlsConfig:
     """Weights of the pointwise relativistic objective."""
 
-    lambda_rls: float = 0.4
-    margin: float = 1.0
-    lambda_adv: float = 4.0
-    lambda_topk: float = 0.01
-    k_fraction: float = 0.10
+    lambda_rls: float = setting("losses", 0.4, "weight of the pointwise relativistic term")
+    margin: float = setting("losses", 1.0, "score margin m")
+    lambda_adv: float = setting(
+        "losses", 4.0, "weight of the least-squares adversarial term, both modes"
+    )
+    lambda_topk: float = setting("losses", 0.01, "weight of the top-K discrepancy term")
+    k_fraction: float = setting("losses", 0.10, "fraction of score positions kept by top-K")
 
     def __post_init__(self):
         if min(self.lambda_rls, self.lambda_adv, self.lambda_topk) < 0:

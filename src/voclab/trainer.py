@@ -20,11 +20,13 @@ from . import losses, models
 from . import tensor as tt
 from .data import SAMPLE_RATE, sample_batch
 from .dsp import StftConfig, mel_filterbank
-from .losses import MultiStftConfig, PrlsConfig
+from .losses import MultiStftConfig, PrlsConfig, setting
 from .tensor import Tape, Tensor
 from .optim import OptimState, clip_global_norm, optimizer_step
 
 CHECKPOINT_VERSION = 1
+# the entries every reader of a checkpoint indexes
+_CHECKPOINT_KEYS = ("__vocoder__", "__iteration__", "__rng__", "__g_step__", "__d_step__")
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,33 +47,47 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"
-    lr: float = 1e-3
+    kind: str = setting("trainer", "adam", "adam | radam", key="optimizer")
+    lr: float = setting("trainer", 1e-3, "learning rate")
     betas: tuple = (0.9, 0.999)
-    grad_clip: float | None = None
+    grad_clip: float | None = setting(
+        "trainer", None, "global gradient-norm clip: a number, or none for no clipping"
+    )
+
+    def __post_init__(self):
+        if self.kind not in ("adam", "radam"):
+            raise ValueError(f"optimizer must be adam or radam, not {self.kind!r}")
+        if not self.lr > 0:
+            raise ValueError("learning rates must be positive")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive or none, not {self.grad_clip}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    vocoder: str = "melgan"  # "melgan" | "pwgan"
-    total_iterations: int = 3000
-    d_start_iteration: int = 2000
-    batch_size: int = 8
-    segment_length: int = 4096
-    adv_mode: str = "prls"  # "prls" | "lsgan": prls with zero relativistic weights
-    g_optimizer: OptimizerConfig = OptimizerConfig("adam", 1e-3, (0.9, 0.999), None)
-    d_optimizer: OptimizerConfig = OptimizerConfig("adam", 1e-3, (0.9, 0.999), 1.0)
-    g_lr_halvings: tuple = ()
-    d_lr_halvings: tuple = ()
-    prls: PrlsConfig = PrlsConfig()
+    vocoder: str = setting("model", "melgan", "melgan | pwgan")
+    total_iterations: int = setting("trainer", 3000, "training steps in total")
+    d_start_iteration: int = setting("trainer", 2000, "warm-start length; D is frozen before this")
+    batch_size: int = setting("data", 8, "segments per training step")
+    segment_length: int = setting("data", 4096, "training segment samples, multiple of 256")
+    adv_mode: str = setting(
+        "losses", "prls", "prls | lsgan (lsgan: prls with lambda_rls and lambda_topk at 0)"
+    )
+    g_optimizer: OptimizerConfig = field(default=OptimizerConfig(), metadata={"prefix": "g_"})
+    d_optimizer: OptimizerConfig = field(
+        default=OptimizerConfig(grad_clip=1.0), metadata={"prefix": "d_"}
+    )
+    g_lr_halvings: tuple = setting("trainer", (), "iterations that halve the G lr, comma-separated")
+    d_lr_halvings: tuple = setting("trainer", (), "iterations that halve the D lr, comma-separated")
+    prls: PrlsConfig = field(default=PrlsConfig(), metadata={"prefix": ""})
     stft: MultiStftConfig = MultiStftConfig()
-    n_mels: int = 80
-    mel_fmin: float = 0.0
-    mel_fmax: float = 11025.0
-    seed: int = 0
-    dtype: str = "float32"
-    log_interval: int = 10
-    checkpoint_interval: int = 1000
+    n_mels: int = setting("model", 80, "mel bands for conditioning")
+    mel_fmin: float = setting("model", 0.0, "mel filterbank lower edge, Hz")
+    mel_fmax: float = setting("model", 11025.0, "mel filterbank upper edge, Hz")
+    seed: int = setting("trainer", 0, "master seed for data, init, and noise")
+    dtype: str = setting("trainer", "float32", "float32 (training) | float64 (verification)")
+    log_interval: int = setting("trainer", 10, "iterations between JSONL log records")
+    checkpoint_interval: int = setting("trainer", 1000, "iterations between checkpoints (0: none)")
 
     def __post_init__(self):
         if self.vocoder not in ("melgan", "pwgan"):
@@ -80,16 +96,23 @@ class TrainConfig:
             raise ValueError(f"unknown adv_mode {self.adv_mode!r}")
         if self.d_start_iteration > self.total_iterations:
             raise ValueError("d_start_iteration must not exceed total_iterations")
-        if self.g_optimizer.lr <= 0 or self.d_optimizer.lr <= 0:
-            raise ValueError("learning rates must be positive")
         if self.segment_length % 256:
             raise ValueError("segment_length must be divisible by 256")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.log_interval < 1:
             raise ValueError("log_interval must be at least 1")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be at least 0 (0: no checkpoints)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, not {self.dtype!r}")
+        if self.n_mels < 1:
+            raise ValueError("n_mels must be at least 1")
+        if not 0 <= self.mel_fmin < self.mel_fmax <= SAMPLE_RATE / 2:
+            raise ValueError(
+                f"need 0 <= mel_fmin < mel_fmax <= {SAMPLE_RATE / 2:g} Hz, "
+                f"got mel_fmin {self.mel_fmin:g}, mel_fmax {self.mel_fmax:g}"
+            )
         shortest = max(
             max(c.win_length for c in self.stft.configs),
             build_specs(self)[1].receptive_field(),
@@ -103,22 +126,15 @@ class TrainConfig:
 
 def desk_config(vocoder="melgan", **overrides):
     """Desk-scale defaults; the full-scale published settings stay reachable
-    through overrides (iterations, batch, segment length, schedules)."""
-    if vocoder == "melgan":
-        cfg = TrainConfig(
-            vocoder="melgan",
-            g_optimizer=OptimizerConfig("adam", 1e-3, (0.9, 0.999), None),
-            d_optimizer=OptimizerConfig("adam", 1e-3, (0.9, 0.999), 1.0),
-        )
-    elif vocoder == "pwgan":
-        cfg = TrainConfig(
-            vocoder="pwgan",
-            g_optimizer=OptimizerConfig("radam", 1e-4, (0.9, 0.999), 10.0),
-            d_optimizer=OptimizerConfig("radam", 1e-4, (0.9, 0.999), 1.0),
-        )
-    else:
-        raise ValueError(f"unknown vocoder kind {vocoder!r}")
-    return replace(cfg, **overrides) if overrides else cfg
+    through overrides (iterations, batch, segment length, schedules). PWGAN
+    trains with rectified Adam at 1e-4; MelGAN with TrainConfig's Adam."""
+    if vocoder == "pwgan":
+        overrides = {
+            "g_optimizer": OptimizerConfig("radam", 1e-4, grad_clip=10.0),
+            "d_optimizer": OptimizerConfig("radam", 1e-4, grad_clip=1.0),
+            **overrides,
+        }
+    return TrainConfig(vocoder=vocoder, **overrides)
 
 
 def build_specs(config: TrainConfig):
@@ -399,6 +415,9 @@ def _read_checkpoint(path):
         raise CheckpointError(
             f"{path}: checkpoint version {found} unsupported (expected {CHECKPOINT_VERSION})"
         )
+    missing = [k for k in _CHECKPOINT_KEYS if k not in blobs]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint lacks {', '.join(missing)}")
     return blobs
 
 

@@ -1,6 +1,8 @@
 """Config parsing and the command-line workflow end to end."""
 
 import json
+from dataclasses import fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +10,16 @@ import pytest
 from click.testing import CliRunner
 
 from voclab.cli import main
-from voclab.config import ConfigError, default_config_text, parse_config
+from voclab.config import ConfigError, default_config_text, parse_config, schema
 from voclab import tensor as tt
 from voclab.data import AudioClip, read_wav, save_corpus, synth_corpus, write_wav
 from voclab.dsp import aligned_mel_spectrogram, mel_filterbank
 from voclab.models import melgan_generate
 from voclab.tensor import Tensor
-from voclab.trainer import Trainer, conditioning_config, desk_config, save_checkpoint
+from voclab.losses import PrlsConfig
+from voclab.trainer import (
+    OptimizerConfig, TrainConfig, Trainer, conditioning_config, desk_config, save_checkpoint,
+)
 
 
 @pytest.fixture
@@ -23,12 +28,98 @@ def runner():
 
 
 class TestConfigParsing:
-    def test_default_text_round_trips_to_defaults(self, tmp_path):
+    @pytest.mark.parametrize("vocoder", ["melgan", "pwgan"])
+    def test_default_text_round_trips_to_defaults(self, tmp_path, vocoder):
         p = tmp_path / "run.ini"
-        p.write_text(default_config_text("melgan"))
+        p.write_text(default_config_text(vocoder))
         cfg, corpus_dir = parse_config(p)
-        assert cfg == desk_config("melgan")
+        assert cfg == desk_config(vocoder)
         assert corpus_dir is None
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        # (text, parsed value), each unlike the pwgan desk default
+        want = {
+            "corpus_dir": ("/corpus", Path("/corpus")),
+            "batch_size": ("3", 3),
+            "segment_length": ("8192", 8192),
+            "vocoder": ("pwgan", "pwgan"),
+            "n_mels": ("64", 64),
+            "mel_fmin": ("40", 40.0),
+            "mel_fmax": ("8000", 8000.0),
+            "total_iterations": ("500", 500),
+            "d_start_iteration": ("100", 100),
+            "g_optimizer": ("adam", "adam"),
+            "g_lr": ("2e-4", 2e-4),
+            "g_grad_clip": ("5", 5.0),
+            "d_optimizer": ("adam", "adam"),
+            "d_lr": ("3e-4", 3e-4),
+            "d_grad_clip": ("none", None),
+            "g_lr_halvings": ("200, 300", (200, 300)),
+            "d_lr_halvings": ("400", (400,)),
+            "seed": ("5", 5),
+            "dtype": ("float64", "float64"),
+            "log_interval": ("7", 7),
+            "checkpoint_interval": ("0", 0),
+            "adv_mode": ("lsgan", "lsgan"),
+            "lambda_rls": ("0.3", 0.3),
+            "margin": ("0.5", 0.5),
+            "lambda_adv": ("2", 2.0),
+            "lambda_topk": ("0.02", 0.02),
+            "k_fraction": ("0.2", 0.2),
+        }
+        table = schema()
+        assert sorted(k for keys in table.values() for k in keys) == sorted(want)
+        p = tmp_path / "run.ini"
+        p.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {want[key][0]}\n" for key in keys)
+            for section, keys in table.items()
+        ))
+        cfg, corpus_dir = parse_config(p)
+        base = desk_config("pwgan")
+        for keys in table.values():
+            for key, (path, _, _) in keys.items():
+                got = corpus_dir if key == "corpus_dir" else reduce(getattr, path, cfg)
+                assert got == want[key][1], key
+                if key not in ("corpus_dir", "vocoder"):
+                    assert got != reduce(getattr, path, base), key
+
+    def test_every_field_is_exposed_or_named_unexposed(self):
+        unexposed = {"stft", "betas"}
+        for cls in (TrainConfig, OptimizerConfig, PrlsConfig):
+            for f in fields(cls):
+                exposed = "section" in f.metadata or "prefix" in f.metadata
+                assert exposed != (f.name in unexposed), f"{cls.__name__}.{f.name}"
+
+    def test_empty_values_keep_vocoder_defaults(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text(
+            "[model]\nvocoder = pwgan\nn_mels =\n"
+            "[trainer]\ng_optimizer =\ng_lr =\ng_grad_clip =\ng_lr_halvings =\n"
+        )
+        cfg, _ = parse_config(p)
+        assert cfg == desk_config("pwgan")
+
+    def test_keys_are_checked_together(self, tmp_path):
+        # total_iterations = 10 with the default d_start_iteration of 2000 is invalid
+        p = tmp_path / "run.ini"
+        p.write_text("[trainer]\ntotal_iterations = 10\nd_start_iteration = 5\n")
+        cfg, _ = parse_config(p)
+        assert (cfg.total_iterations, cfg.d_start_iteration) == (10, 5)
+
+    @pytest.mark.parametrize(
+        "text", ["[trainer]\ng_grad_clip = default\n", "[trainer]\ng_lr = none\n"]
+    )
+    def test_old_sentinels_rejected(self, tmp_path, text):
+        p = tmp_path / "run.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config(p)
+
+    def test_metrics_section_rejected(self, tmp_path):
+        p = tmp_path / "run.ini"
+        p.write_text("[metrics]\n")
+        with pytest.raises(ConfigError, match="metrics"):
+            parse_config(p)
 
     def test_pwgan_defaults_to_radam(self, tmp_path):
         p = tmp_path / "run.ini"
@@ -109,6 +200,13 @@ class TestCliWorkflow:
         cfg, _ = parse_config(p)
         assert cfg.vocoder == "melgan"
 
+    def test_init_config_rejects_unknown_vocoder(self, runner, tmp_path):
+        p = tmp_path / "run.ini"
+        res = runner.invoke(main, ["init-config", "--vocoder", "wavenet", "--out", str(p)])
+        assert res.exit_code == 1
+        assert "wavenet" in res.output
+        assert not p.exists()
+
     def test_train_rejects_bad_config(self, runner, tmp_path):
         p = tmp_path / "run.ini"
         p.write_text("[trainer]\nwat = 1\n")
@@ -124,6 +222,11 @@ class TestCliWorkflow:
             ("[data]\nbatch_size = 0\n", "batch_size"),
             ("[data]\nsegment_length = 1024\n", "segment_length"),
             ("[losses]\nlambda_adv_baseline = 4.0\n", "lambda_adv_baseline"),
+            ("[trainer]\ng_optimizer = sgd\n", "optimizer"),
+            ("[trainer]\ng_grad_clip = -1\n", "grad_clip"),
+            ("[model]\nn_mels = 0\n", "n_mels"),
+            ("[model]\nmel_fmax = 50000\n", "mel_fmax"),
+            ("[trainer]\ncheckpoint_interval = -1\n", "checkpoint_interval"),
         ],
     )
     def test_train_rejects_bad_value(self, runner, tmp_path, text, key):
@@ -131,6 +234,7 @@ class TestCliWorkflow:
         p.write_text(text)
         res = runner.invoke(main, ["train", "--config", str(p), "--out", str(tmp_path / "o")])
         assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
         assert key in res.output
 
     def test_train_requires_corpus_dir(self, runner, tmp_path):
@@ -236,6 +340,59 @@ class TestCliWorkflow:
             ["synth", "--checkpoint", str(bad), "--mel-from", str(corpus), "--out", str(tmp_path / "s")],
         )
         assert res.exit_code == 1
+
+    def test_checkpoint_without_its_keys_rejected(self, runner, tmp_path):
+        corpus = self._make_corpus(runner, tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[data]\ncorpus_dir = {corpus}\nbatch_size = 2\n"
+            "[trainer]\ntotal_iterations = 1\nd_start_iteration = 1\n"
+        )
+        bare = tmp_path / "bare.npz"
+        np.savez(bare, __version__=np.array(1))
+        for args in (
+            ["synth", "--checkpoint", bare, "--mel-from", corpus, "--out", tmp_path / "s"],
+            ["train", "--config", ini, "--out", tmp_path / "o", "--resume", bare],
+        ):
+            res = runner.invoke(main, [str(a) for a in args])
+            assert res.exit_code == 1
+            assert isinstance(res.exception, SystemExit)
+            assert "error:" in res.output and "__vocoder__" in res.output
+
+    def _melgan_checkpoint(self, tmp_path):
+        corpus = synth_corpus(0, n_clips=4, duration_s=0.5, n_test=1)
+        tr = Trainer(desk_config("melgan"), corpus, tmp_path / "run")
+        return save_checkpoint(tmp_path / "ck.npz", tr)
+
+    def test_synth_rejects_wav_not_at_22050_hz(self, runner, tmp_path):
+        ckpt = self._melgan_checkpoint(tmp_path)
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        write_wav(refs / "a.wav", AudioClip(np.zeros(8192), 22050))
+        write_wav(refs / "b.wav", AudioClip(np.zeros(8192), 16000))
+        syn = tmp_path / "syn"
+        res = runner.invoke(
+            main, ["synth", "--checkpoint", str(ckpt), "--mel-from", str(refs), "--out", str(syn)]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "b.wav" in res.output and "16000 Hz" in res.output
+        assert not list(syn.glob("*.wav"))
+
+    def test_synth_counts_written_files(self, runner, tmp_path):
+        ckpt = self._melgan_checkpoint(tmp_path)
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        write_wav(refs / "long.wav", AudioClip(np.zeros(4096)))
+        write_wav(refs / "short.wav", AudioClip(np.zeros(512)))
+        syn = tmp_path / "syn"
+        res = runner.invoke(
+            main, ["synth", "--checkpoint", str(ckpt), "--mel-from", str(refs), "--out", str(syn)]
+        )
+        assert res.exit_code == 0, res.output
+        assert "skipping short.wav" in res.output
+        assert "wrote 1 files" in res.output
+        assert [p.name for p in syn.glob("*.wav")] == ["long.wav"]
 
     def test_eval_with_no_pairs_fails(self, runner, tmp_path):
         (tmp_path / "a").mkdir()
