@@ -12,24 +12,16 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import models
-from . import tensor as tt
 from .config import ConfigError, default_config_text, parse_config
 from .data import (
     SAMPLE_RATE, AudioClip, load_corpus, read_wav, save_corpus, synth_corpus, write_wav,
 )
-from .dsp import aligned_mel_spectrogram, mel_filterbank
+from .dsp import aligned_mel_spectrogram
 from .gradcheck import LOSS_CHECKS, MODEL_CHECKS, run_suite
 from .metrics import evaluate_corpus
+from .models import CONDITIONING
 from .tensor import Tensor
-from .trainer import (
-    TrainingDiverged,
-    CheckpointError,
-    CorpusError,
-    conditioning_config,
-    load_generator,
-    train,
-)
+from .trainer import TrainingDiverged, CheckpointError, CorpusError, load_generator, train
 
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
@@ -112,7 +104,7 @@ def train_cmd(config_path, out, prls, resume):
 def synth(checkpoint, mel_from, out, seed):
     """Copy-synthesis: extract mel from WAVs, run the generator, write WAVs."""
     try:
-        vocoder, spec, params, (fmin, fmax) = load_generator(checkpoint)
+        vocoder = load_generator(checkpoint)
         paths = sorted(Path(mel_from).glob("*.wav"))
         if not paths:
             raise FileNotFoundError(f"no .wav files in {mel_from}")
@@ -128,23 +120,16 @@ def synth(checkpoint, mel_from, out, seed):
         sys.exit(EXIT_VALIDATION)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fb = mel_filterbank(spec.n_mels, SAMPLE_RATE, fmin, fmax, fft_size=1024)
-    cond_cfg = conditioning_config()
     rng = np.random.default_rng(seed)
     written = 0
     for path, clip in zip(paths, clips):
-        n = (len(clip) // cond_cfg.hop) * cond_cfg.hop
-        if n < cond_cfg.win_length:
+        n = (len(clip) // CONDITIONING.hop) * CONDITIONING.hop
+        if n < CONDITIONING.win_length:
             click.echo(f"skipping {path.name}: too short", err=True)
             continue
-        x = clip.samples[:n].astype(np.float32)
-        mel = aligned_mel_spectrogram(Tensor(x), fb, cond_cfg)
-        mel = tt.reshape(mel, (1,) + mel.shape)
-        if vocoder == "melgan":
-            wav = models.melgan_generate(mel, spec, params)
-        else:
-            noise = tt.randn(rng, (1, 1, n), np.float32)
-            wav = models.pwgan_generate(noise, mel, spec, params)
+        x = clip.samples[None, :n].astype(np.float32)
+        mel = aligned_mel_spectrogram(Tensor(x), vocoder.fb, CONDITIONING)
+        wav = vocoder.generate(mel, vocoder.noise(rng, mel))
         samples = np.clip(wav.data[0, 0], -1.0, 1.0)
         if not np.all(np.isfinite(samples)):
             click.echo(f"numerical failure: non-finite output for {path.name}", err=True)
@@ -161,7 +146,11 @@ def synth(checkpoint, mel_from, out, seed):
               help="report base path (writes .json and .csv)")
 def eval_cmd(ref, syn, out):
     """Mel-cepstral distortion and f0 frame error between paired directories."""
-    report = evaluate_corpus(ref, syn)
+    try:
+        report = evaluate_corpus(ref, syn)
+    except ValueError as exc:  # unreadable WAVs, pairs at different rates
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
     if not report.pairs:
         click.echo("error: no paired files", err=True)
         sys.exit(EXIT_VALIDATION)

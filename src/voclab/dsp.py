@@ -31,10 +31,6 @@ class StftConfig:
         if self.hop < 1:
             raise ValueError("hop must be >= 1")
 
-    @property
-    def n_bins(self):
-        return self.fft_size // 2 + 1
-
 
 def hann_window(n):
     """Periodic Hann window of length n."""

@@ -2,7 +2,9 @@
 
 Models are functional: a spec describes the architecture, a ParameterSet
 holds named weight tensors, and forward functions thread both through the
-tensor ops so one tape per training step captures everything.
+tensor ops so one tape per training step captures everything. A Vocoder
+bundles a generator with its conditioning features for training,
+held-out evaluation and synthesis.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
+from .data import SAMPLE_RATE
+from .dsp import StftConfig, mel_filterbank
 from .tensor import ShapeError, Tensor
+
+# feature analysis for generator conditioning: 1024-point FFT, hop 256
+CONDITIONING = StftConfig(fft_size=1024, win_length=1024, hop=256)
 
 
 class ParameterSet:
@@ -122,6 +129,9 @@ class PwganGeneratorSpec:
     dilation_base: int = 2
     lrelu_slope: float = 0.2
     hop: int = 256
+
+
+GENERATOR_SPECS = {"melgan": MelganGeneratorSpec, "pwgan": PwganGeneratorSpec}
 
 
 @dataclass(frozen=True)
@@ -307,3 +317,29 @@ def discriminate(wav, spec: DiscriminatorSpec, params):
             h = tt.avg_pool1d(h, spec.pool)
         maps.append(_discriminate_scale(h, spec, params, si))
     return maps
+
+
+# ---------------------------------------------------------------------------
+# a generator with its conditioning features
+
+
+class Vocoder:
+    """Generator spec, its weights and the conditioning mel filterbank."""
+
+    def __init__(self, kind, n_mels, mel_fmin, mel_fmax, seed=0, dtype=np.float32):
+        self.kind = kind
+        self.spec = GENERATOR_SPECS[kind](n_mels=n_mels)
+        self.params = init_params(self.spec, seed, dtype)
+        self.fb = mel_filterbank(n_mels, SAMPLE_RATE, mel_fmin, mel_fmax, CONDITIONING.fft_size)
+
+    def noise(self, rng, mel):
+        """Noise input for mel [B, n_mels, F]: None for MelGAN, [B, 1, F * hop] for PWGAN."""
+        if self.kind == "melgan":
+            return None
+        return tt.randn(rng, (mel.shape[0], 1, mel.shape[-1] * self.spec.hop), mel.dtype)
+
+    def generate(self, mel, noise):
+        """Mel [B, n_mels, F] (and noise) -> waveform [B, 1, F * hop]."""
+        if self.kind == "melgan":
+            return melgan_generate(mel, self.spec, self.params)
+        return pwgan_generate(noise, mel, self.spec, self.params)

@@ -146,10 +146,6 @@ class Tensor:
         return mul(self, -1.0)
 
 
-def tensor(data, dtype=np.float64, tape=None, requires_grad=False):
-    return Tensor(data, dtype=dtype, tape=tape, requires_grad=requires_grad)
-
-
 def _as_tensor(x, like=None):
     if isinstance(x, Tensor):
         return x

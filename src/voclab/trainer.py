@@ -19,12 +19,13 @@ import numpy as np
 from . import losses, models
 from . import tensor as tt
 from .data import SAMPLE_RATE, sample_batch
-from .dsp import StftConfig, mel_filterbank
 from .losses import MultiStftConfig, PrlsConfig, setting
 from .tensor import Tape, Tensor
 from .optim import OptimState, clip_global_norm, optimizer_step
 
 CHECKPOINT_VERSION = 1
+# the discriminator each vocoder trains against
+D_KINDS = {"melgan": "melgan_multiscale", "pwgan": "pwgan_single"}
 # the entries every reader of a checkpoint indexes
 _CHECKPOINT_KEYS = ("__vocoder__", "__iteration__", "__rng__", "__g_step__", "__d_step__")
 
@@ -42,7 +43,8 @@ class CheckpointError(ValueError):
 
 
 class CorpusError(ValueError):
-    """Raised for a corpus the trainer cannot use: clips not at SAMPLE_RATE."""
+    """Raised for a corpus the trainer cannot use: clips not at SAMPLE_RATE,
+    clips shorter than a segment, or an empty train or test split."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class TrainConfig:
     checkpoint_interval: int = setting("trainer", 1000, "iterations between checkpoints (0: none)")
 
     def __post_init__(self):
-        if self.vocoder not in ("melgan", "pwgan"):
+        if self.vocoder not in D_KINDS:
             raise ValueError(f"unknown vocoder kind {self.vocoder!r}")
         if self.adv_mode not in ("prls", "lsgan"):
             raise ValueError(f"unknown adv_mode {self.adv_mode!r}")
@@ -115,7 +117,7 @@ class TrainConfig:
             )
         shortest = max(
             max(c.win_length for c in self.stft.configs),
-            build_specs(self)[1].receptive_field(),
+            models.DiscriminatorSpec(kind=D_KINDS[self.vocoder]).receptive_field(),
         )
         if self.segment_length < shortest:
             raise ValueError(
@@ -135,21 +137,6 @@ def desk_config(vocoder="melgan", **overrides):
             **overrides,
         }
     return TrainConfig(vocoder=vocoder, **overrides)
-
-
-def build_specs(config: TrainConfig):
-    if config.vocoder == "melgan":
-        g_spec = models.MelganGeneratorSpec(n_mels=config.n_mels)
-        d_spec = models.DiscriminatorSpec(kind="melgan_multiscale")
-    else:
-        g_spec = models.PwganGeneratorSpec(n_mels=config.n_mels)
-        d_spec = models.DiscriminatorSpec(kind="pwgan_single")
-    return g_spec, d_spec
-
-
-def conditioning_config():
-    """Feature analysis for generator conditioning: 1024-point FFT, hop 256."""
-    return StftConfig(fft_size=1024, win_length=1024, hop=256)
 
 
 def _lr_at(base, halvings, iteration):
@@ -176,51 +163,51 @@ class Trainer:
                 f"corpus clips at {', '.join(map(str, rates))} Hz; "
                 f"training needs {SAMPLE_RATE} Hz (the mel filterbank's rate)"
             )
+        if not corpus.train_idx or not corpus.test_idx:
+            raise CorpusError(
+                f"corpus has {len(corpus.train_idx)} train and {len(corpus.test_idx)} test "
+                "clips; training needs at least one of each"
+            )
+        shortest = min(len(clip) for clip in corpus.clips)
+        if shortest < config.segment_length:
+            raise CorpusError(
+                f"shortest corpus clip has {shortest} samples, "
+                f"fewer than segment_length {config.segment_length}"
+            )
         self.config = config
         self.corpus = corpus
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.dtype = np.dtype(config.dtype)
-        self.g_spec, self.d_spec = build_specs(config)
-        self.fb = mel_filterbank(
-            config.n_mels, SAMPLE_RATE, config.mel_fmin, config.mel_fmax, fft_size=1024
+        self.vocoder = models.Vocoder(
+            config.vocoder, config.n_mels, config.mel_fmin, config.mel_fmax, config.seed + 1,
+            self.dtype,
         )
-        self.cond_cfg = conditioning_config()
+        # aliases of the vocoder's fields; its ParameterSet is updated in place
+        self.g_spec, self.g_params = self.vocoder.spec, self.vocoder.params
+        self.d_spec = models.DiscriminatorSpec(kind=D_KINDS[config.vocoder])
         self.adv_weights = config.prls
         if config.adv_mode == "lsgan":
             self.adv_weights = replace(config.prls, lambda_rls=0.0, lambda_topk=0.0)
-        self.g_params = models.init_params(self.g_spec, config.seed + 1, self.dtype)
         self.d_params = models.init_params(self.d_spec, config.seed + 2, self.dtype)
         self.g_state = OptimState(config.g_optimizer.kind)
         self.d_state = OptimState(config.d_optimizer.kind)
         self.rng = np.random.default_rng(config.seed)
         self.iteration = 0
-        self._heldout = self._make_heldout()
+        self._heldout = self._sample(self.corpus.test_clips, np.random.default_rng(config.seed + 3))
 
-    def _make_heldout(self):
-        rng = np.random.default_rng(self.config.seed + 3)
+    def _sample(self, clips, rng):
+        """A training-shaped batch from `clips` and the generator noise for it."""
+        cfg = self.config
         batch = sample_batch(
-            self.corpus.test_clips,
-            self.config.segment_length,
-            self.config.batch_size,
-            rng,
-            self.fb,
-            self.cond_cfg,
+            clips, cfg.segment_length, cfg.batch_size, rng, self.vocoder.fb, models.CONDITIONING,
             self.dtype,
         )
-        noise = None
-        if self.config.vocoder == "pwgan":
-            noise = tt.randn(rng, batch.wav.shape, self.dtype)
-        return batch, noise
-
-    def _generate(self, batch, noise):
-        if self.config.vocoder == "melgan":
-            return models.melgan_generate(batch.mel, self.g_spec, self.g_params)
-        return models.pwgan_generate(noise, batch.mel, self.g_spec, self.g_params)
+        return batch, self.vocoder.noise(rng, batch.mel)
 
     def heldout_stft_loss(self):
         batch, noise = self._heldout
-        x_hat = self._generate(batch, noise)
+        x_hat = self.vocoder.generate(batch.mel, noise)
         loss = losses.multi_resolution_stft(
             _squeeze_wav(batch.wav), _squeeze_wav(x_hat), self.config.stft
         )
@@ -263,22 +250,11 @@ class Trainer:
         cfg = self.config
         self.iteration += 1
         it = self.iteration
-        batch = sample_batch(
-            self.corpus.train_clips,
-            cfg.segment_length,
-            cfg.batch_size,
-            self.rng,
-            self.fb,
-            self.cond_cfg,
-            self.dtype,
-        )
-        noise = None
-        if cfg.vocoder == "pwgan":
-            noise = tt.randn(self.rng, batch.wav.shape, self.dtype)
+        batch, noise = self._sample(self.corpus.train_clips, self.rng)
 
         tape_g = Tape()
         self.g_params.attach(tape_g)
-        x_hat = self._generate(batch, noise)
+        x_hat = self.vocoder.generate(batch.mel, noise)
         real_flat = _squeeze_wav(batch.wav)
         stft_loss = losses.multi_resolution_stft(real_flat, _squeeze_wav(x_hat), cfg.stft)
 
@@ -454,24 +430,23 @@ def load_checkpoint(path, trainer: Trainer):
 
 
 def load_generator(path, dtype=np.float32):
-    """Load just the generator from a checkpoint, for synthesis.
+    """Load just the generator from a checkpoint, as a Vocoder for synthesis.
 
-    Returns (vocoder kind, generator spec, ParameterSet, (mel_fmin, mel_fmax));
-    checkpoints without a stored mel range get the default 0-11025 Hz.
+    Checkpoints without a stored mel range get the default 0-11025 Hz.
     """
     blobs = _read_checkpoint(path)
-    vocoder = str(blobs["__vocoder__"])
-    n_mels = int(blobs.get("__n_mels__", 80))
-    mel_range = (float(blobs.get("__mel_fmin__", 0.0)), float(blobs.get("__mel_fmax__", 11025.0)))
-    if vocoder == "melgan":
-        spec = models.MelganGeneratorSpec(n_mels=n_mels)
-    elif vocoder == "pwgan":
-        spec = models.PwganGeneratorSpec(n_mels=n_mels)
-    else:
-        raise CheckpointError(f"{path}: unknown vocoder kind {vocoder!r}")
-    params = models.init_params(spec, 0, dtype)
+    kind = str(blobs["__vocoder__"])
+    if kind not in models.GENERATOR_SPECS:
+        raise CheckpointError(f"{path}: unknown vocoder kind {kind!r}")
+    vocoder = models.Vocoder(
+        kind,
+        int(blobs.get("__n_mels__", 80)),
+        float(blobs.get("__mel_fmin__", 0.0)),
+        float(blobs.get("__mel_fmax__", 11025.0)),
+        dtype=dtype,
+    )
     try:
-        params.load({name: blobs[f"g.{name}"] for name in params.names()})
+        vocoder.params.load({name: blobs[f"g.{name}"] for name in vocoder.params.names()})
     except KeyError as exc:
         raise CheckpointError(f"{path}: checkpoint does not match the model ({exc})") from exc
-    return vocoder, spec, params, mel_range
+    return vocoder

@@ -14,11 +14,11 @@ from voclab.config import ConfigError, default_config_text, parse_config, schema
 from voclab import tensor as tt
 from voclab.data import AudioClip, read_wav, save_corpus, synth_corpus, write_wav
 from voclab.dsp import aligned_mel_spectrogram, mel_filterbank
-from voclab.models import melgan_generate
+from voclab.models import CONDITIONING, melgan_generate, pwgan_generate
 from voclab.tensor import Tensor
 from voclab.losses import PrlsConfig
 from voclab.trainer import (
-    OptimizerConfig, TrainConfig, Trainer, conditioning_config, desk_config, save_checkpoint,
+    OptimizerConfig, TrainConfig, Trainer, desk_config, save_checkpoint,
 )
 
 
@@ -259,6 +259,33 @@ class TestCliWorkflow:
         assert "16000 Hz" in res.output
         assert not (out / "train_log.jsonl").exists()
 
+    def _train_on(self, runner, tmp_path, corpus):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            f"[data]\ncorpus_dir = {corpus}\nbatch_size = 2\nsegment_length = 4096\n"
+            "[trainer]\ntotal_iterations = 3\nd_start_iteration = 2\n"
+        )
+        out = tmp_path / "run_out"
+        res = runner.invoke(main, ["train", "--config", str(ini), "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output
+        assert not out.exists()
+        return res.output
+
+    def test_train_rejects_clips_shorter_than_a_segment(self, runner, tmp_path):
+        corpus = tmp_path / "short"
+        save_corpus(synth_corpus(0, n_clips=4, duration_s=0.1, n_test=1), corpus)
+        output = self._train_on(runner, tmp_path, corpus)
+        assert "2205 samples" in output and "segment_length 4096" in output
+
+    def test_train_rejects_an_empty_split(self, runner, tmp_path):
+        corpus = tmp_path / "one"
+        corpus.mkdir()
+        write_wav(corpus / "only.wav", AudioClip(np.zeros(8192)))
+        output = self._train_on(runner, tmp_path, corpus)
+        assert "0 train and 1 test" in output
+
     def test_train_synth_eval_pipeline(self, runner, tmp_path):
         corpus = self._make_corpus(runner, tmp_path)
         ini = tmp_path / "run.ini"
@@ -309,9 +336,33 @@ class TestCliWorkflow:
             clip = read_wav(ref)
             n = (len(clip) // 256) * 256
             mel = aligned_mel_spectrogram(
-                Tensor(clip.samples[:n].astype(np.float32)), fb, conditioning_config()
+                Tensor(clip.samples[:n].astype(np.float32)), fb, CONDITIONING
             )
             wav = melgan_generate(tt.reshape(mel, (1,) + mel.shape), tr.g_spec, tr.g_params)
+            write_wav(tmp_path / "expected.wav", AudioClip(np.clip(wav.data[0, 0], -1.0, 1.0)))
+            assert (syn / ref.name).read_bytes() == (tmp_path / "expected.wav").read_bytes()
+
+    def test_synth_pwgan_draws_noise_per_file_from_seed(self, runner, tmp_path):
+        corpus = synth_corpus(0, n_clips=4, duration_s=0.5, n_test=1)
+        save_corpus(corpus, tmp_path / "corpus")
+        tr = Trainer(desk_config("pwgan", mel_fmin=40.0), corpus, tmp_path / "run")
+        ckpt = save_checkpoint(tmp_path / "ck.npz", tr)
+        syn = tmp_path / "syn"
+        res = runner.invoke(
+            main, ["synth", "--checkpoint", str(ckpt), "--mel-from", str(tmp_path / "corpus"),
+                   "--out", str(syn), "--seed", "3"],
+        )
+        assert res.exit_code == 0, res.output
+        fb = mel_filterbank(80, 22050, 40.0, 11025.0, fft_size=1024)
+        rng = np.random.default_rng(3)
+        for ref in sorted((tmp_path / "corpus").glob("*.wav")):
+            clip = read_wav(ref)
+            n = (len(clip) // 256) * 256
+            mel = aligned_mel_spectrogram(
+                Tensor(clip.samples[:n].astype(np.float32)), fb, CONDITIONING
+            )
+            noise = Tensor(rng.standard_normal((1, 1, n)).astype(np.float32))
+            wav = pwgan_generate(noise, tt.reshape(mel, (1,) + mel.shape), tr.g_spec, tr.g_params)
             write_wav(tmp_path / "expected.wav", AudioClip(np.clip(wav.data[0, 0], -1.0, 1.0)))
             assert (syn / ref.name).read_bytes() == (tmp_path / "expected.wav").read_bytes()
 
@@ -403,6 +454,30 @@ class TestCliWorkflow:
              "--out", str(tmp_path / "r")],
         )
         assert res.exit_code == 1
+
+    def _eval_fails(self, runner, tmp_path, syn_wav):
+        ref, syn = tmp_path / "ref", tmp_path / "syn"
+        ref.mkdir()
+        syn.mkdir()
+        write_wav(ref / "a.wav", AudioClip(np.zeros(4096)))
+        syn_wav(syn / "a.wav")
+        res = runner.invoke(
+            main, ["eval", "--ref", str(ref), "--syn", str(syn), "--out", str(tmp_path / "r")]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error:" in res.output
+        return res.output
+
+    def test_eval_rejects_pair_at_different_rates(self, runner, tmp_path):
+        output = self._eval_fails(
+            runner, tmp_path, lambda p: write_wav(p, AudioClip(np.zeros(4096), 16000))
+        )
+        assert "16000" in output
+
+    def test_eval_rejects_unreadable_wav(self, runner, tmp_path):
+        output = self._eval_fails(runner, tmp_path, lambda p: p.write_bytes(b"not a wav"))
+        assert "a.wav" in output
 
     def test_gradcheck_single_target(self, runner):
         res = runner.invoke(main, ["gradcheck", "--which", "topk_mean"])

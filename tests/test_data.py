@@ -18,7 +18,7 @@ from voclab.data import (
     write_wav,
 )
 from voclab.dsp import StftConfig, mel_filterbank
-from voclab.trainer import conditioning_config
+from voclab.models import CONDITIONING
 
 
 class TestAudioClip:
@@ -171,7 +171,7 @@ class TestCorpus:
 
 class TestSampleBatch:
     FB = mel_filterbank(80, 22050, 0.0, 11025.0, fft_size=1024)
-    CFG = conditioning_config()
+    CFG = CONDITIONING
 
     def _clips(self):
         return synth_corpus(0, n_clips=3, duration_s=0.3, n_test=1).train_clips

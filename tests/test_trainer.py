@@ -358,18 +358,34 @@ class TestCheckpointFiles:
         tr = Trainer(tiny_config(), corpus, tmp_path / "lg")
         tr.step()
         path = save_checkpoint(tmp_path / "ck.npz", tr)
-        vocoder, spec, params, mel_range = load_generator(path, dtype=np.float64)
-        assert vocoder == "melgan"
-        assert mel_range == (0.0, 11025.0)
+        vocoder = load_generator(path, dtype=np.float64)
+        assert vocoder.kind == "melgan"
+        assert (vocoder.fb.fmin, vocoder.fb.fmax) == (0.0, 11025.0)
         for name, arr in tr.g_params.state().items():
-            assert np.array_equal(params[name].data, arr)
+            assert np.array_equal(vocoder.params[name].data, arr)
 
     def test_load_generator_mel_range(self, corpus, tmp_path):
         tr = Trainer(tiny_config(mel_fmin=50.0, mel_fmax=8000.0), corpus, tmp_path / "mr")
         path = save_checkpoint(tmp_path / "ck.npz", tr)
-        assert load_generator(path)[3] == (50.0, 8000.0)
+        fb = load_generator(path).fb
+        assert (fb.fmin, fb.fmax) == (50.0, 8000.0)
         # checkpoints written before the range was stored fall back to 0-11025 Hz
         blobs = dict(np.load(path, allow_pickle=False))
         del blobs["__mel_fmin__"], blobs["__mel_fmax__"]
         np.savez(tmp_path / "old.npz", **blobs)
-        assert load_generator(tmp_path / "old.npz")[3] == (0.0, 11025.0)
+        fb = load_generator(tmp_path / "old.npz").fb
+        assert (fb.fmin, fb.fmax) == (0.0, 11025.0)
+
+    @pytest.mark.parametrize("vocoder", ["melgan", "pwgan"])
+    def test_loaded_generator_reproduces_heldout_loss(self, corpus, tmp_path, vocoder):
+        cfg = desk_config(vocoder, total_iterations=3, d_start_iteration=2, batch_size=2,
+                          segment_length=2048, mel_fmin=30.0, mel_fmax=9000.0)
+        tr = Trainer(cfg, corpus, tmp_path / "hl")
+        for _ in range(3):
+            tr.step()
+        path = save_checkpoint(tmp_path / "ck.npz", tr)
+        expected, trained = tr.heldout_stft_loss(), tr.vocoder
+        tr.vocoder = load_generator(path, dtype=np.float32)
+        assert tr.vocoder.params is not trained.params
+        assert np.array_equal(tr.vocoder.fb.weights, trained.fb.weights)
+        assert tr.heldout_stft_loss() == expected
